@@ -185,9 +185,9 @@ def _cmd_expand(args):
     system = _load(args.file)
     seed = tuple(system.seed)
     sigma, phi, _ = restrict_to_reachable(system.sigma, system.phi, seed)
-    e = stabilized_power_exponent(sigma)
-    couple = HD0LSystem(power(sigma, e).letters, system.alphabet_b,
-                        power(sigma, e), phi, seed + seed)
+    sig_e = power(sigma, stabilized_power_exponent(sigma))
+    couple = HD0LSystem(sig_e.letters, system.alphabet_b, sig_e, phi,
+                        seed + seed)
     try:
         cls = class_limits(couple)
     except PreconditionError as exc:

@@ -2,10 +2,9 @@
 
 Each entry records what the decision procedure must answer; check_entry
 re-runs the procedure and compares, and run_corpus evaluates all entries in
-parallel while reporting results in input order.
+corpus order.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -138,11 +137,8 @@ def check_entry(entry, limits=None):
     return CorpusResult(entry, outcome, True, outcome.diagnostic)
 
 
-def run_corpus(limits=None, parallel=True):
+def run_corpus(limits=None):
     """Check every corpus entry; results come back in corpus order."""
     if limits is None:
         limits = Limits()
-    if not parallel:
-        return tuple(check_entry(e, limits) for e in CORPUS)
-    with ThreadPoolExecutor(max_workers=min(8, len(CORPUS))) as pool:
-        return tuple(pool.map(lambda e: check_entry(e, limits), CORPUS))
+    return tuple(check_entry(e, limits) for e in CORPUS)

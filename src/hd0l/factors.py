@@ -13,7 +13,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .matrices import letterset_orbit, minimal_p2_exponent, satisfies_p2_at
+from .matrices import letterset_orbit, stabilizing_exponent
 from .words import Morphism, as_word, canonicalize_up, is_prolongable, primitive_root
 
 DEFAULT_MAX_FACTORS = 200_000
@@ -34,6 +34,7 @@ class FactorEngine:
         self.table = {
             self._enc[a]: "".join(self._enc[c] for c in tau.image(a))
             for a in tau.letters}
+        self._by_ord = {ord(c): img for c, img in self.table.items()}
 
     def encode(self, word):
         return "".join(self._enc[a] for a in word)
@@ -42,19 +43,27 @@ class FactorEngine:
         return tuple(self._dec[c] for c in s)
 
     def apply(self, s):
-        return "".join(self.table[c] for c in s)
+        return s.translate(self._by_ord)
 
     def expand_until(self, word, n, max_word=DEFAULT_MAX_WORD):
-        """Apply tau to word until it has at least n letters (word untruncated)."""
+        """Apply tau to word until it has at least n letters (word untruncated).
+        Once an iterate s is a prefix of its image, so is every later one, and
+        with tau(s[:done]) == s the next iterate is s + tau(s[done:])."""
         s = self.encode(word)
+        done = None
         for _ in range(10_000):
             if len(s) >= n:
                 return s
-            nxt = self.apply(s)
+            if done is None:
+                nxt = self.apply(s)
+            else:
+                nxt = s + self.apply(s[done:])
             if nxt == s:
                 raise BoundedImageError("expand_until: word is a finite fixed word")
             if len(nxt) > max_word:
                 raise ResourceLimitError("expand_until: word cap exceeded")
+            if done is not None or nxt.startswith(s):
+                done = len(s)
             s = nxt
         raise ResourceLimitError("expand_until: step cap exceeded")
 
@@ -116,13 +125,6 @@ def _windows(s, n):
     return {s[i:i + n] for i in range(len(s) - n + 1)}
 
 
-def factors_of_length(sigma, a, n, max_factors=DEFAULT_MAX_FACTORS):
-    """All length-n factors of the limit word generated from a (letter or word)."""
-    eng = FactorEngine(sigma)
-    return frozenset(
-        eng.decode(w) for w in eng.factors(as_word(a), n, max_factors))
-
-
 @dataclass(frozen=True)
 class BlockSubstitution:
     """Substitution on length-n factors whose fixed point at seed_name is the
@@ -130,10 +132,8 @@ class BlockSubstitution:
     positions i..i+n-1). The image of a block is the run of windows of its
     image word covering the image of the block's first letter."""
 
-    n: int
     morphism: Morphism
     seed_name: str
-    name_of: dict
     factor_of: dict
 
 
@@ -155,43 +155,9 @@ def _block_substitution(engine, seed_word, n, max_factors):
             blocks.append(names[win])
         images[names[w]] = tuple(blocks)
     return BlockSubstitution(
-        n=n,
         morphism=Morphism(images),
         seed_name=names[base[:n]],
-        name_of=names,
         factor_of={v: k for k, v in names.items()})
-
-
-def block_substitution(sigma, a, n, max_factors=DEFAULT_MAX_FACTORS):
-    return _block_substitution(FactorEngine(sigma), as_word(a), n, max_factors)
-
-
-def recurrent_letters(sigma, a):
-    """Letters occurring infinitely often in the fixed point at a, and an
-    index past which every position holds one.
-
-    With sigma(a) = a u and stable letter sets the fixed point reads
-    a u sigma(u) sigma^2(u) ..., so the recurrent letters are exactly
-    letters(sigma(u)) and positions >= |a u| all carry them."""
-    orbit = letterset_orbit(sigma)
-    if not satisfies_p2_at(orbit, 1):
-        raise PreconditionError("recurrent_letters: letter sets not stable")
-    img = sigma.image(a)
-    if not is_prolongable(sigma, a):
-        raise PreconditionError("recurrent_letters: sigma not prolongable at a")
-    rec = frozenset(c for b in img[1:] for c in sigma.image(b))
-    return rec, len(img)
-
-
-@dataclass(frozen=True)
-class FactorSet:
-    """Length-n factors of a fixed point, the recurrent ones, and an index
-    such that the window at every position >= index is recurrent."""
-
-    n: int
-    factors: frozenset
-    recurrent: frozenset
-    index: int
 
 
 def _recurrent_interned(engine, seed_word, n, max_factors, max_word):
@@ -207,7 +173,7 @@ def _recurrent_interned(engine, seed_word, n, max_factors, max_word):
     if not is_prolongable(sigma_n, bs.seed_name):
         raise PreconditionError("recurrent factors: block seed not prolongable")
     orbit = letterset_orbit(sigma_n)
-    r = minimal_p2_exponent(orbit)
+    r = stabilizing_exponent(orbit)
     word = (bs.seed_name,)
     for _ in range(r):
         word = sigma_n(word)
@@ -221,28 +187,6 @@ def _recurrent_interned(engine, seed_word, n, max_factors, max_word):
     all_factors = frozenset(bs.factor_of[v] for v in sigma_n.letters)
     recurrent = frozenset(bs.factor_of[v] for v in rec_names)
     return all_factors, recurrent, len(word)
-
-
-def recurrent_factors(sigma, a, n, max_factors=DEFAULT_MAX_FACTORS,
-                      max_word=DEFAULT_MAX_WORD):
-    """Recurrent length-n factors of the fixed point at a (letter or word)."""
-    eng = FactorEngine(sigma)
-    facs, rec, index = _recurrent_interned(
-        eng, as_word(a), n, max_factors, max_word)
-    return FactorSet(
-        n=n,
-        factors=frozenset(eng.decode(w) for w in facs),
-        recurrent=frozenset(eng.decode(w) for w in rec),
-        index=index)
-
-
-def periodic_factors(v, n):
-    """All length-n factors of v v v ..."""
-    v = as_word(v)
-    if not v:
-        raise PreconditionError("periodic_factors: empty period")
-    reps = v * (n // len(v) + 2)
-    return frozenset(reps[i:i + n] for i in range(len(v)))
 
 
 def lang_eq_periodic(u, v):

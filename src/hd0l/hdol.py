@@ -27,12 +27,12 @@ from .errors import (
     ResourceLimitError,
 )
 from .matrices import (
-    PRIMITIVE,
-    UNIT,
+    classify_letters,
     component_decomposition,
     incidence_matrix,
     letterset_orbit,
     satisfies_p2_at,
+    stabilizing_exponent,
 )
 from .normalization import (
     SubstitutiveRepresentation,
@@ -44,7 +44,8 @@ from .periodicity import (
     CLASS_LIMITS_DIFFER,
     DEFAULT_LIMITS,
     DIVERGENT_LIMIT,
-    DecisionOutcome,
+    _no,
+    _yes,
     decide_substitutive,
 )
 from .words import (
@@ -53,6 +54,7 @@ from .words import (
     UltimatelyPeriodicWord,
     canonicalize_up,
     compose,
+    eventual_cycle,
     power,
     up_equal,
 )
@@ -67,59 +69,23 @@ DIVERGENT = "Divergent"
 # length trichotomy
 
 
-def _stable_length_classes(sigma, phi):
+def _couple_classes(sigma, phi):
     """Per-letter class of the sequence |phi(sigma^n(c))|, assuming image
-    letter sets already stable at the first power and component power 1.
+    letter sets already stable at the first power (which forces component
+    power 1).
 
-    Under those hypotheses letters(sigma^n(c)) is one constant set L_c for
+    Under that hypothesis letters(sigma^n(c)) is one constant set L_c for
     every n >= 1, which makes the trichotomy exact from n = 1 on: the
     lengths are all zero iff phi erases L_c, and otherwise they are all
-    positive, with growth decided by a finite induction over components.
+    positive, growing exactly when the growth walk with phi as the weights
+    says so.
     """
-    orbit = letterset_orbit(sigma)
-    if not satisfies_p2_at(orbit, 1):
+    if not satisfies_p2_at(letterset_orbit(sigma), 1):
         raise PreconditionError("length classes: image letter sets not stable")
-    dec = component_decomposition(incidence_matrix(sigma))
-    if dec.p != 1:
-        raise PreconditionError(
-            f"length classes: component power {dec.p}, expected 1")
-
-    letters = sigma.letters
-    lsets = {c: orbit.letters_of(1, c) for c in letters}
-    erased = {c: all(not phi.image(e) for e in lsets[c]) for c in letters}
-    kind_of = {}
-    for blk in dec.blocks:
-        for c in blk.letters:
-            kind_of[c] = blk.kind
-
-    inf = {}
-
-    def grows(d):
-        if d in inf:
-            return inf[d]
-        if kind_of[d] == PRIMITIVE:
-            # occurrence counts inside the component diverge, and every
-            # letter of L_d rides along once per occurrence
-            out = not erased[d]
-        elif kind_of[d] == UNIT:
-            # sigma(d) = x d y with d once: the flank letters are re-emitted
-            # at every level, so lengths telescope over their image lengths
-            out = any(not erased[e] for e in lsets[d] - {d})
-        else:
-            # null singleton: everything happens strictly below
-            out = any(grows(e) for e in lsets[d])
-        inf[d] = out
-        return out
-
-    classes = {}
-    for c in letters:
-        if erased[c]:
-            classes[c] = TO_ZERO
-        elif grows(c):
-            classes[c] = TO_INFINITY
-        else:
-            classes[c] = BOUNDED
-    return classes
+    cls = classify_letters(sigma, phi)
+    return {c: TO_ZERO if c in cls.mortal
+            else TO_INFINITY if c in cls.growing else BOUNDED
+            for c in sigma.letters}
 
 
 def stabilized_power_exponent(sigma, cap=None):
@@ -128,21 +94,12 @@ def stabilized_power_exponent(sigma, cap=None):
     The driver splits indices modulo e."""
     cap = cap if cap is not None else DEFAULT_LIMITS.couple_power_cap
     dec = component_decomposition(incidence_matrix(sigma))
-    orbit = letterset_orbit(sigma)
-    e = dec.p
-    while e <= cap:
-        if satisfies_p2_at(orbit, e):
-            return e
-        e += dec.p
-    raise ResourceLimitError(
-        f"stabilized power: no stable exponent up to {cap}")
+    return stabilizing_exponent(letterset_orbit(sigma), dec.p, cap)
 
 
 def _length_classes(sigma, phi):
-    orbit = letterset_orbit(sigma)
-    dec = component_decomposition(incidence_matrix(sigma))
-    if dec.p == 1 and satisfies_p2_at(orbit, 1):
-        return _stable_length_classes(sigma, phi)
+    if satisfies_p2_at(letterset_orbit(sigma), 1):
+        return _couple_classes(sigma, phi)
     # fall back to the stabilized power and classify along every residue;
     # a letter only has a class when the residues agree
     e = stabilized_power_exponent(sigma)
@@ -150,7 +107,7 @@ def _length_classes(sigma, phi):
     merged = None
     for i in range(e):
         coding = phi if i == 0 else compose(phi, power(sigma, i))
-        cls = _stable_length_classes(sig_e, coding)
+        cls = _couple_classes(sig_e, coding)
         if merged is None:
             merged = cls
         elif merged != cls:
@@ -199,14 +156,7 @@ def first_letter_orbit(sigma, a, phi=None):
         raise PreconditionError("first_letter_orbit: erasing endomorphism")
     if a not in sigma.domain:
         raise PreconditionError(f"first_letter_orbit: {a!r} not in the domain")
-    seen = {}
-    seq = []
-    cur = a
-    while cur not in seen:
-        seen[cur] = len(seq)
-        seq.append(cur)
-        cur = sigma.image(cur)[0]
-    j0 = seen[cur]
+    seq, j0 = eventual_cycle(a, lambda c: sigma.image(c)[0])
     cycle = tuple(seq[j0:])
     unbounded = None
     if phi is not None:
@@ -349,7 +299,7 @@ def class_limits(system, limits=None, trace=None):
     trace = trace if trace is not None else []
     sigma, phi, w = system.sigma, system.phi, system.seed
 
-    classes = _stable_length_classes(sigma, phi)
+    classes = _couple_classes(sigma, phi)
     if not any(classes[c] == TO_INFINITY for c in w):
         raise PreconditionError(
             "class_limits: no seed letter with unbounded image lengths")
@@ -410,14 +360,9 @@ def class_limits(system, limits=None, trace=None):
             step[h] = (img[:k], img[k])
         return step[h]
 
-    seen = {}
-    hs = [g]
-    while hs[-1] not in seen:
-        seen[hs[-1]] = len(hs) - 1
-        hs.append(chain_step(hs[-1])[1])
-    start = seen[hs[-1]]
-    q = len(hs) - 1 - start
-    betas = [chain_step(h)[0] for h in hs[:-1]]
+    hs, start = eventual_cycle(g, lambda h: chain_step(h)[1])
+    q = len(hs) - start
+    betas = [chain_step(h)[0] for h in hs]
     cycle_empty = all(not b for b in betas[start:])
 
     if not cycle_empty:
@@ -469,14 +414,6 @@ def class_limits(system, limits=None, trace=None):
 
 # ---------------------------------------------------------------------------
 # the decision procedure
-
-
-def _yes(up, trace):
-    return DecisionOutcome(True, up, True, None, tuple(trace))
-
-
-def _no(diagnostic, trace, certified=True):
-    return DecisionOutcome(False, None, certified, diagnostic, tuple(trace))
 
 
 def _confirm_limit(system, up, e, trace, limits):
@@ -541,7 +478,7 @@ def decide_hd0l(system, limits=None):
     entries = []
     for i in range(e):
         phi_i = phi if i == 0 else compose(phi, power(sigma, i))
-        classes = _stable_length_classes(sig_e, phi_i)
+        classes = _couple_classes(sig_e, phi_i)
         if not any(classes[c] == TO_INFINITY for c in w2):
             trace.append(
                 f"couple {i}: every seed letter keeps bounded image lengths")

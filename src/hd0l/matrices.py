@@ -166,9 +166,6 @@ class Decomposition:
     def block_index(self):
         return {a: i for i, blk in enumerate(self.blocks) for a in blk.letters}
 
-    def principal_primitive_blocks(self):
-        return tuple(b for b in self.blocks if b.principal and b.kind == PRIMITIVE)
-
 
 def _strong_components(n, adj):
     """Iterative Tarjan; adj[u] = sorted product-letter indices. Returns SCCs
@@ -262,17 +259,23 @@ def component_decomposition(matrix):
     p is the lcm of the cyclicity indices of the strongly connected components;
     the matrix of the p-th power is block lower triangular over the returned
     letter order with every diagonal block null, unit, or primitive (verified).
+    The power is taken on the boolean support only: a singleton block is null
+    without a self-loop there, unit when its component of the matrix itself is
+    one cycle of weight-1 edges (the p-th power is then the identity on it),
+    and primitive otherwise (its diagonal count is then at least 2).
     """
     letters = matrix.letters
     n = matrix.n
     support = matrix.support()
     adj = _adjacency(support)
     p = 1
+    on_unit_cycle = set()
     for comp in _strong_components(n, adj):
         p = _lcm(p, _cyclicity(comp, adj))
+        if all(sum(matrix.rows[i][j] for i in comp) == 1 for j in comp):
+            on_unit_cycle.update(comp)
 
-    mp = matrix.pow(p)
-    sp = mp.support()
+    sp = support.pow(p)
     adj_p = _adjacency(sp)
     comps = _strong_components(n, adj_p)
 
@@ -282,15 +285,14 @@ def component_decomposition(matrix):
     raw = []
     for comp in comps:
         members = tuple(letters[i] for i in comp)
-        outside = False
-        for j in comp:
-            for i in adj_p[j]:
-                if i not in comp:
-                    outside = True
+        inside = set(comp)
+        outside = any(i not in inside for j in comp for i in adj_p[j])
         if len(comp) == 1:
             j = comp[0]
-            c = mp.rows[j][j]
-            kind = NULL if c == 0 else (UNIT if c == 1 else PRIMITIVE)
+            if not sp.masks[j] >> j & 1:
+                kind = NULL
+            else:
+                kind = UNIT if j in on_unit_cycle else PRIMITIVE
         else:
             kind = PRIMITIVE
         if kind == PRIMITIVE:
@@ -304,7 +306,7 @@ def component_decomposition(matrix):
         tuple(ComponentBlock(m, k, pr) for m, k, pr in raw if pr)
     q = sum(1 for b in blocks if not b.principal)
 
-    _check_triangular(mp, blocks)
+    _check_triangular(sp, blocks)
     return Decomposition(p=p, blocks=blocks, q=q)
 
 
@@ -320,16 +322,28 @@ def _submatrix_support(support, comp):
     return SupportMatrix(sub_letters, tuple(masks))
 
 
-def _check_triangular(mp, blocks):
+def _check_triangular(sp, blocks):
     pos = {}
     for bi, blk in enumerate(blocks):
         for a in blk.letters:
             pos[a] = bi
-    letters = mp.letters
-    for i in range(mp.n):
-        for j in range(mp.n):
-            if mp.rows[i][j] and pos[letters[i]] < pos[letters[j]]:
+    letters = sp.letters
+    for i, mask in enumerate(sp.masks):
+        while mask:
+            j = (mask & -mask).bit_length() - 1
+            if pos[letters[i]] < pos[letters[j]]:
                 raise InternalCheckError("decomposition not block triangular")
+            mask &= mask - 1
+
+
+def image_lengths(sigma, k, phi=None):
+    """|phi(sigma^k(b))| for every letter b (phi the identity when None),
+    read off the k-th power of the incidence matrix."""
+    mat = incidence_matrix(sigma).pow(k)
+    weights = [1 if phi is None else len(phi.image(c)) for c in mat.letters]
+    return {
+        b: sum(w * mat.rows[i][j] for i, w in enumerate(weights))
+        for j, b in enumerate(mat.letters)}
 
 
 # ---------------------------------------------------------------------------
@@ -381,78 +395,65 @@ def satisfies_p2_at(orbit, e):
     return orbit.state_at(e) == orbit.state_at(2 * e)
 
 
-def minimal_p2_exponent(orbit):
-    for e in range(1, orbit.preperiod + orbit.period + 1):
+def stabilizing_exponent(orbit, step=1, cap=None):
+    """Smallest multiple e of step with letters(sigma^e(b)) ==
+    letters(sigma^2e(b)) for every b, i.e. sigma^e has stable image letter
+    sets.
+
+    One always exists at or below step * (preperiod + period + 1): a multiple
+    of the orbit period past the preperiod.  With a cap below that bound the
+    search stops at the cap and raises ResourceLimitError.
+    """
+    limit = step * (orbit.preperiod + orbit.period + 1)
+    stop = limit if cap is None else min(limit, cap)
+    for e in range(step, stop + 1, step):
         if satisfies_p2_at(orbit, e):
             return e
-    raise InternalCheckError("no stabilization exponent within orbit bound")
-
-
-def letters_stabilization_exponent(sigma):
-    """Smallest multiple of |A| that stabilizes all image letter sets.
-
-    Requires the single-component case (decomposition power 1); scales |A| up
-    when the natural candidate fails, which happens when some diagonal block
-    is primitive without being positive.
-    """
-    dec = component_decomposition(incidence_matrix(sigma))
-    if dec.p != 1:
-        raise PreconditionError(
-            f"letters_stabilization_exponent: decomposition power is {dec.p}, not 1")
-    orbit = letterset_orbit(sigma)
-    n = len(sigma.letters)
-    m = 1
-    while not satisfies_p2_at(orbit, m * n):
-        m += 1
-        if m > orbit.preperiod + orbit.period + 1:
-            raise InternalCheckError("stabilization exponent search exceeded orbit bound")
-    return m * n
+    if cap is not None and cap < limit:
+        raise ResourceLimitError(
+            f"stabilized power: no stable exponent up to {cap}")
+    raise InternalCheckError("no stabilizing exponent within the orbit bound")
 
 
 # ---------------------------------------------------------------------------
 # Growth classification.
 
-def mortal_letters(sigma):
-    """Letters whose images vanish after finitely many applications."""
-    mortal = set(a for a in sigma.letters if not sigma.image(a))
-    changed = True
-    while changed:
-        changed = False
-        for a in sigma.letters:
-            if a not in mortal and all(c in mortal for c in sigma.image(a)):
-                mortal.add(a)
-                changed = True
-    return frozenset(mortal)
-
-
 @dataclass(frozen=True)
 class LetterClasses:
-    """growing: |sigma^n(a)| unbounded; bounded: the complement; mortal: the
-    letters of bounded whose images eventually vanish entirely."""
+    """growing: |phi(sigma^n(a))| unbounded; bounded: the complement; mortal:
+    the letters of bounded whose images eventually vanish entirely."""
 
     growing: frozenset
     bounded: frozenset
     mortal: frozenset
 
 
-def classify_letters(sigma):
-    """Growth classes from the component decomposition, with no simulation.
+def classify_letters(sigma, phi=None):
+    """Growth classes of the lengths |phi(sigma^n(a))| (phi the identity
+    when None) from the component decomposition, with no simulation.
 
-    Block rules, resolved against dependency order (a block's images use only
-    letters of the same or later blocks):
-      primitive block: every letter grows;
+    A letter is mortal when phi erases every letter of sigma^n(a) for all
+    large n, read off the cycle of the letter-set orbit.  Block rules,
+    resolved against dependency order (a block's images use only letters of
+    the same or later blocks):
+      primitive block: every letter that is not mortal grows;
       unit block {b} (sigma^p(b) = x b y): b bounded iff x y is all mortal;
       null block {b}: b bounded iff every letter of sigma^p(b) is bounded.
     """
     dec = component_decomposition(incidence_matrix(sigma))
     orbit = letterset_orbit(sigma)
-    mortal = mortal_letters(sigma)
+    cycle = orbit.states[orbit.preperiod:]
+    mortal = frozenset(
+        a for i, a in enumerate(orbit.letters)
+        if not any(phi is None or phi.image(c)
+                   for state in cycle for c in state[i]))
     p = dec.p
     growing = set()
     bounded = set()
     for blk in reversed(dec.blocks):
         if blk.kind == PRIMITIVE:
-            growing.update(blk.letters)
+            for a in blk.letters:
+                (bounded if a in mortal else growing).add(a)
             continue
         b = blk.letters[0]
         image_letters = orbit.letters_of(p, b)

@@ -22,9 +22,11 @@ from .errors import (
 )
 from .matrices import (
     component_decomposition,
+    image_lengths,
     incidence_matrix,
     letterset_orbit,
     satisfies_p2_at,
+    stabilizing_exponent,
 )
 from .words import (
     Morphism,
@@ -36,42 +38,6 @@ from .words import (
 
 P1, P2, P3, P4, CODING = "P1", "P2", "P3", "P4", "CODING"
 ALL_PROPERTIES = frozenset({P1, P2, P3, P4, CODING})
-
-
-def minimal_p1_p2_exponent(sigma):
-    """Smallest e with: e a multiple of the decomposition power, and the image
-    letter sets of sigma^e stable (so sigma^e has properties P1 and P2)."""
-    dec = component_decomposition(incidence_matrix(sigma))
-    orbit = letterset_orbit(sigma)
-    p = dec.p
-    limit = p * (orbit.preperiod + orbit.period + 1)
-    e = p
-    while e <= limit:
-        if satisfies_p2_at(orbit, e):
-            return e
-        e += p
-    raise InternalCheckError("no valid exponent within orbit bound")
-
-
-def normalize_p1_p2(sigma):
-    """(e, sigma^e) with e = p * |A| scaled by the smallest integer making the
-    image letter sets of sigma^e stable.
-
-    p * |A| alone is not always enough: with {a->b, b->c, c->ab} the letters of
-    sigma^3(a) and sigma^6(a) still differ, so the candidate is verified against
-    the letter-set orbit and escalated by integer multiples when it fails.
-    """
-    dec = component_decomposition(incidence_matrix(sigma))
-    orbit = letterset_orbit(sigma)
-    base = dec.p * len(sigma.letters)
-    m = 1
-    limit = orbit.preperiod + orbit.period + 1
-    while not satisfies_p2_at(orbit, base * m):
-        m += 1
-        if m > limit:
-            raise InternalCheckError("stabilization escalation exceeded orbit bound")
-    e = base * m
-    return e, power(sigma, e)
 
 
 def satisfies_p2(sigma):
@@ -156,10 +122,13 @@ def eliminate_phi_dead(sigma, phi, a):
 
 def recurrent_letter_set(sigma, a):
     """Letters occurring infinitely often in the fixed point at a, under P2:
-    with sigma(a) = a u, these are exactly letters(sigma(u))."""
+    with sigma(a) = a u the fixed point reads a u sigma(u) sigma^2(u) ...,
+    so these are exactly letters(sigma(u))."""
     img = sigma.image(a)
     if not (len(img) >= 1 and img[0] == a):
         raise PreconditionError("recurrent_letter_set: sigma(a) must start with a")
+    if not satisfies_p2(sigma):
+        raise PreconditionError("recurrent_letter_set: letter sets not stable")
     return frozenset(c for b in img[1:] for c in sigma.image(b))
 
 
@@ -167,16 +136,6 @@ def image_is_infinite(sigma, phi, a):
     """Whether lim phi(sigma^n(a)) is an infinite word (needs P2)."""
     rec = recurrent_letter_set(sigma, a)
     return any(phi.image(c) for c in rec)
-
-
-def _phi_lengths_after(sigma, phi, k):
-    """|phi(sigma^k(b))| for every b, from integer incidence powers."""
-    mat = incidence_matrix(sigma).pow(k)
-    letters = mat.letters
-    weights = [len(phi.image(c)) for c in letters]
-    return {
-        b: sum(weights[i] * mat.rows[i][j] for i in range(len(letters)))
-        for j, b in enumerate(letters)}
 
 
 MAX_PHI_COMPOSITIONS = 8
@@ -205,7 +164,7 @@ def achieve_growth_inequalities(sigma, phi, a):
     if not is_prolongable(new_sigma, a):
         raise InternalCheckError("power lost prolongability")
     lengths_now = {b: len(new_phi.image(b)) for b in new_sigma.letters}
-    after = _phi_lengths_after(new_sigma, new_phi, 1)
+    after = image_lengths(new_sigma, 1, new_phi)
     if any(after[b] < lengths_now[b] for b in new_sigma.letters):
         raise InternalCheckError("growth inequality verification failed")
     return new_sigma, new_phi
@@ -223,7 +182,7 @@ def _growth_candidate(sigma, phi):
         k *= 2
         candidates.append(k)
     for k in candidates:
-        reached = _phi_lengths_after(sigma, phi, k)
+        reached = image_lengths(sigma, k, phi)
         if all(reached[b] >= targets[b] for b in sigma.letters):
             return k
     return None
@@ -304,6 +263,13 @@ class SubstitutiveRepresentation:
         return self.kappa(self.expand_core(n))
 
 
+def _p1_p2_power(sigma):
+    """sigma^e for the smallest multiple e of the component power with
+    stable image letter sets, which has properties P1 and P2."""
+    dec = component_decomposition(incidence_matrix(sigma))
+    return power(sigma, stabilizing_exponent(letterset_orbit(sigma), dec.p))
+
+
 def _assert_p1_p2(sigma, where):
     if component_decomposition(incidence_matrix(sigma)).p != 1:
         raise InternalCheckError(f"{where}: P1 lost")
@@ -320,8 +286,7 @@ def substitutive_representation(sigma, phi, a, fidelity=400):
         raise PreconditionError("substitutive_representation: seed not prolongable")
     original = (sigma, phi, a)
 
-    e = minimal_p1_p2_exponent(sigma)
-    cur_sigma = power(sigma, e)
+    cur_sigma = _p1_p2_power(sigma)
     cur_phi = phi
     cur_sigma, cur_phi, _ = restrict_to_reachable(cur_sigma, cur_phi, (a,))
 
@@ -344,8 +309,7 @@ def substitutive_representation(sigma, phi, a, fidelity=400):
     cur_sigma, cur_phi = achieve_growth_inequalities(cur_sigma, cur_phi, a)
     tau, kappa, d0 = to_coding(cur_sigma, cur_phi, a)
 
-    e2 = minimal_p1_p2_exponent(tau)
-    tau = power(tau, e2)
+    tau = _p1_p2_power(tau)
     tau, kappa, _ = restrict_to_reachable(tau, kappa, (d0,))
 
     rep = SubstitutiveRepresentation(tau, kappa, d0, ALL_PROPERTIES)

@@ -15,6 +15,7 @@ from .matrices import (
     PRIMITIVE,
     classify_letters,
     component_decomposition,
+    image_lengths,
     incidence_matrix,
     is_primitive,
 )
@@ -30,6 +31,7 @@ from .words import (
     Morphism,
     UltimatelyPeriodicWord,
     compose,
+    eventual_cycle,
     expand_fixed_point,
     is_prolongable,
     minimal_period,
@@ -108,23 +110,6 @@ class SubSubstitution:
     exponent: int
 
 
-def _first_letter_cycle(first):
-    cur = min(first)
-    seen = {}
-    path = []
-    while cur not in seen:
-        seen[cur] = len(path)
-        path.append(cur)
-        cur = first[cur]
-    return path[seen[cur]:]
-
-
-def _power_image_length(sigma, k, a):
-    mk = incidence_matrix(sigma).pow(k)
-    j = mk.letters.index(a)
-    return sum(row[j] for row in mk.rows)
-
-
 def make_sub_substitutions(sigma):
     """One SubSubstitution per principal primitive component.
 
@@ -143,15 +128,15 @@ def make_sub_substitutions(sigma):
         if blk.kind != PRIMITIVE:
             continue  # closed unit component: a fixed letter, nothing to raise
         sub = sigma.restrict(blk.letters)
-        first = {b: sub.image(b)[0] for b in blk.letters}
-        cycle = _first_letter_cycle(first)
+        path, j = eventual_cycle(min(blk.letters), lambda b: sub.image(b)[0])
+        cycle = path[j:]
         picks.append((blk.letters, sub, min(cycle), len(cycle)))
     k = 1
     for _, _, _, k_i in picks:
         k = math.lcm(k, k_i)
     subs = []
     for letters, sub, a_i, _ in picks:
-        if _power_image_length(sub, k, a_i) < 2:
+        if image_lengths(sub, k)[a_i] < 2:
             raise InternalCheckError(
                 f"component power at {a_i!r} stays a single letter")
         subs.append(SubSubstitution(letters, sub, a_i, k))
@@ -351,7 +336,8 @@ def _triple_image(sigma, triple, growing):
 
 class _TripleClosure:
     """Breadth-first closure of the flanked-letter alphabet, one level per
-    advance() call so the caller can interleave it with the flank scan."""
+    advance() call so the caller can interleave it with the flank scan;
+    images maps every unit of a finished closure to its image units."""
 
     def __init__(self, sigma, a, growing, cap):
         self.sigma = sigma
@@ -360,11 +346,14 @@ class _TripleClosure:
         start = ((), a, ())
         self.seen = {start}
         self.frontier = [start]
+        self.images = {}
 
     def advance(self):
         nxt = []
         for triple in self.frontier:
-            for unit in _triple_image(self.sigma, triple, self.growing):
+            img = _triple_image(self.sigma, triple, self.growing)
+            self.images[triple] = img
+            for unit in img:
                 if unit not in self.seen:
                     self.seen.add(unit)
                     if len(self.seen) > self.cap:
@@ -383,15 +372,25 @@ def _apply_capped(sigma, word, cap):
 
 
 def _flank_scan(word, b, growing, m):
-    for pos, c in enumerate(word):
-        if c != b:
-            continue
-        suffix = word[pos + 1:]
-        if suffix and not any(d in growing for d in suffix):
-            return Case3Witness(m, b, "right", suffix)
-        prefix = word[:pos]
-        if prefix and not any(d in growing for d in prefix):
-            return Case3Witness(m, b, "left", prefix)
+    """A flank witness for the growing letter b in word, or None: the first
+    occurrence of b, left to right, whose right side (checked first) or
+    left side is non-empty and all non-growing.
+
+    Everything right of an occurrence is non-growing only at the last
+    growing position, everything left of it only at the first, so only
+    those two positions are looked at."""
+    first = next((i for i, c in enumerate(word) if c in growing), None)
+    if first is None:
+        return None
+    last = len(word) - 1 - next(
+        i for i, c in enumerate(reversed(word)) if c in growing)
+    if word[first] == b:
+        if first == last and last < len(word) - 1:
+            return Case3Witness(m, b, "right", word[last + 1:])
+        if first > 0:
+            return Case3Witness(m, b, "left", word[:first])
+    if word[last] == b and last < len(word) - 1:
+        return Case3Witness(m, b, "right", word[last + 1:])
     return None
 
 
@@ -449,21 +448,11 @@ def convert_case2_to_growing(sigma, a, limits=None):
     if a not in growing:
         raise PreconditionError("convert_case2_to_growing: seed does not grow")
 
+    closure = _TripleClosure(sigma, a, growing, limits.max_triples)
+    while not closure.advance():
+        pass
+    images = closure.images
     start = ((), a, ())
-    images = {}
-    todo = [start]
-    while todo:
-        triple = todo.pop()
-        if triple in images:
-            continue
-        img = _triple_image(sigma, triple, growing)
-        images[triple] = img
-        for unit in img:
-            if unit not in images:
-                todo.append(unit)
-        if len(images) > limits.max_triples:
-            raise InternalCheckError(
-                "convert: closure exceeded cap on a bounded-runs input")
     for triple, img in images.items():
         spelled = ()
         for unit in img:
@@ -471,25 +460,12 @@ def convert_case2_to_growing(sigma, a, limits=None):
         if spelled != sigma(_spell(triple)):
             raise InternalCheckError("convert: decoder does not commute")
 
-    first = {t: images[t][0] for t in images}
-    cur = start
-    pos = {start: 0}
-    path = [start]
-    while True:
-        cur = first[cur]
-        if cur in pos:
-            seed_triple = cur
-            cycle_len = len(path) - pos[cur]
-            break
-        pos[cur] = len(path)
-        path.append(cur)
+    path, j = eventual_cycle(start, lambda t: images[t][0])
+    seed_triple, cycle_len = path[j], len(path) - j
 
-    matrix = incidence_matrix(sigma)
     K = cycle_len
     while True:
-        mk = matrix.pow(K)
-        lens = {c: sum(row[j] for row in mk.rows)
-                for j, c in enumerate(mk.letters)}
+        lens = image_lengths(sigma, K)
         if all(sum(lens[c] for c in _spell(t)) >= 2 * len(_spell(t))
                for t in images):
             break

@@ -194,6 +194,19 @@ def expand_fixed_point(sigma, a, n, max_steps=10_000, allow_short=False):
     raise ResourceLimitError(f"expand_fixed_point: no length-{n} prefix after {max_steps} steps")
 
 
+def eventual_cycle(start, step):
+    """(path, j): the distinct values start, step(start), ... in order up to
+    the first repeat, which is path[j]; from index j on the sequence cycles
+    through path[j:]."""
+    index = {}
+    path = []
+    while start not in index:
+        index[start] = len(path)
+        path.append(start)
+        start = step(start)
+    return path, index[start]
+
+
 def minimal_period(word):
     """Smallest p with word[i] == word[i + p] wherever both sides exist,
     via the KMP failure function (p = length minus longest border)."""

@@ -1,0 +1,88 @@
+"""Test-only helpers: public wrappers over the factor machinery and
+independent reference computations the suite checks the program against."""
+
+from hd0l.errors import PreconditionError
+from hd0l.factors import (
+    DEFAULT_MAX_FACTORS,
+    DEFAULT_MAX_WORD,
+    FactorEngine,
+    _block_substitution,
+    _recurrent_interned,
+)
+from hd0l.periodicity import Case3Witness
+from hd0l.words import as_word
+
+
+def factors_of_length(sigma, a, n, max_factors=DEFAULT_MAX_FACTORS):
+    """All length-n factors of the limit word generated from a (letter or word)."""
+    eng = FactorEngine(sigma)
+    return frozenset(
+        eng.decode(w) for w in eng.factors(as_word(a), n, max_factors))
+
+
+def block_substitution(sigma, a, n, max_factors=DEFAULT_MAX_FACTORS):
+    return _block_substitution(FactorEngine(sigma), as_word(a), n, max_factors)
+
+
+def recurrent_factors(sigma, a, n, max_factors=DEFAULT_MAX_FACTORS,
+                      max_word=DEFAULT_MAX_WORD):
+    """(factors, recurrent factors, index) for the length-n factors of the
+    fixed point at a (letter or word); the window at every position at or
+    past index is recurrent."""
+    eng = FactorEngine(sigma)
+    facs, rec, index = _recurrent_interned(
+        eng, as_word(a), n, max_factors, max_word)
+    return ({eng.decode(w) for w in facs}, {eng.decode(w) for w in rec},
+            index)
+
+
+def periodic_factors(v, n):
+    """All length-n factors of v v v ..."""
+    v = as_word(v)
+    if not v:
+        raise PreconditionError("periodic_factors: empty period")
+    reps = v * (n // len(v) + 2)
+    return frozenset(reps[i:i + n] for i in range(len(v)))
+
+
+def brute_force_up_check(prefix, max_pre, max_per):
+    """Smallest (|u|, |v|) in lexicographic order with |u| <= max_pre and
+    1 <= |v| <= max_per such that the whole prefix agrees with u v^w, or
+    None when no admissible pair exists.
+
+    Independent of the decision procedure: it knows nothing about morphisms
+    and simply searches preperiod/period pairs against an explicitly
+    expanded prefix. A candidate only counts when the prefix shows three
+    full periods past its preperiod, so short accidental alignments never
+    qualify. Returning None additionally requires the prefix to cover
+    max_pre + 3 * max_per letters; a shorter prefix cannot refute the whole
+    bound rectangle and raises instead of reporting a hollow absence.
+    """
+    prefix = as_word(prefix)
+    for pre in range(max_pre + 1):
+        for per in range(1, max_per + 1):
+            if pre + 3 * per > len(prefix):
+                continue
+            if all(prefix[i] == prefix[i - per]
+                   for i in range(pre + per, len(prefix))):
+                return prefix[:pre], prefix[pre:pre + per]
+    if len(prefix) < max_pre + 3 * max_per:
+        raise PreconditionError(
+            "brute_force_up_check: prefix of length %d cannot refute "
+            "bounds (%d, %d)" % (len(prefix), max_pre, max_per))
+    return None
+
+
+def flank_scan_every_occurrence(word, b, growing, m):
+    """Reference flank scan: re-reads both sides of every occurrence of b,
+    right side first, and returns the first witness found."""
+    for pos, c in enumerate(word):
+        if c != b:
+            continue
+        suffix = word[pos + 1:]
+        if suffix and not any(d in growing for d in suffix):
+            return Case3Witness(m, b, "right", suffix)
+        prefix = word[:pos]
+        if prefix and not any(d in growing for d in prefix):
+            return Case3Witness(m, b, "left", prefix)
+    return None

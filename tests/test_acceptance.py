@@ -6,13 +6,11 @@ iteration of the original system, and exhaustive alignment search.
 
 import time
 
-import pytest
-
 from conftest import m, random_endomorphism, seeded
 from test_matrices import naive_is_primitive, support_from_rows
 
 from hd0l.corpus import CORPUS
-from hd0l.factors import FactorEngine, factors_of_length
+from hd0l.factors import FactorEngine
 from hd0l.hdol import class_limits, decide_hd0l, stabilized_power_exponent
 from hd0l.matrices import (
     NULL,
@@ -22,14 +20,14 @@ from hd0l.matrices import (
     incidence_matrix,
     is_primitive,
     classify_letters,
+    letterset_orbit,
+    stabilizing_exponent,
 )
 from hd0l.normalization import (
     SubstitutiveRepresentation,
-    normalize_p1_p2,
     restrict_to_reachable,
     substitutive_representation,
 )
-from hd0l.oracle import brute_force_up_check
 from hd0l.periodicity import (
     APERIODIC_SUB_COMPONENT,
     CASE_BOUNDED_BLOCKS,
@@ -39,7 +37,6 @@ from hd0l.words import (
     HD0LSystem,
     Morphism,
     UltimatelyPeriodicWord,
-    canonicalize_up,
     compose,
     expand_fixed_point,
     identity,
@@ -47,6 +44,7 @@ from hd0l.words import (
     power,
     up_equal,
 )
+from helpers import brute_force_up_check, factors_of_length
 
 
 def report(label, detail=""):
@@ -355,7 +353,10 @@ def test_criterion_8e_non_growing_letters_become_idempotent():
                for _ in range(120)]
     systems += [entry.system.sigma for entry in CORPUS]
     for sigma in systems:
-        _, stable = normalize_p1_p2(sigma)
+        # the smallest multiple of p * |A| with stable image letter sets
+        step = component_decomposition(incidence_matrix(sigma)).p * len(
+            sigma.letters)
+        stable = power(sigma, stabilizing_exponent(letterset_orbit(sigma), step))
         for b in classify_letters(stable).bounded:
             assert stable(stable.image(b)) == stable.image(b), (sigma, b)
         instances += 1

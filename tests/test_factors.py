@@ -3,18 +3,15 @@
 import pytest
 
 from conftest import m, random_endomorphism, seeded
-from hd0l.errors import PreconditionError
-from hd0l.factors import (
-    FactorEngine,
+from hd0l.errors import BoundedImageError, PreconditionError, ResourceLimitError
+from hd0l.factors import FactorEngine, finalcheck, lang_eq_periodic
+from hd0l.normalization import recurrent_letter_set, substitutive_representation
+from helpers import (
     block_substitution,
     factors_of_length,
-    finalcheck,
-    lang_eq_periodic,
     periodic_factors,
     recurrent_factors,
-    recurrent_letters,
 )
-from hd0l.normalization import substitutive_representation
 from hd0l.words import (
     UltimatelyPeriodicWord,
     expand_fixed_point,
@@ -41,6 +38,28 @@ def test_engine_roundtrip_and_apply():
 def test_engine_rejects_erasing():
     with pytest.raises(PreconditionError):
         FactorEngine(m({"a": "ab", "b": ""}))
+
+
+def test_expand_until_matches_whole_word_iteration():
+    # reference: re-apply tau to the whole word at every step
+    rng = seeded(73)
+    for _ in range(400):
+        letters = "abc"[: rng.randint(1, 3)]
+        sigma = random_endomorphism(rng, letters, allow_empty=False)
+        seed = tuple(rng.choice(letters) for _ in range(rng.randint(1, 3)))
+        n = rng.randint(1, 300)
+        want = seed
+        for _ in range(10_000):
+            if len(want) >= n or sigma(want) == want:
+                break
+            want = sigma(want)
+        eng = FactorEngine(sigma)
+        if len(want) >= n:
+            assert eng.decode(eng.expand_until(seed, n)) == want
+        else:
+            # a finite fixed word, or a cycle that hits the step cap
+            with pytest.raises((BoundedImageError, ResourceLimitError)):
+                eng.expand_until(seed, n)
 
 
 def test_fibonacci_small_factor_sets():
@@ -116,37 +135,37 @@ def test_block_substitution_recodes_fixed_point():
 
 def test_recurrent_letters():
     fib2 = m({"a": "aba", "b": "ab"})
-    assert recurrent_letters(fib2, "a") == ({"a", "b"}, 3)
-    assert recurrent_letters(m({"a": "ab", "b": "b"}), "a") == ({"b"}, 2)
-    assert recurrent_letters(m({"a": "aa"}), "a") == ({"a"}, 2)
+    assert recurrent_letter_set(fib2, "a") == {"a", "b"}
+    assert recurrent_letter_set(m({"a": "ab", "b": "b"}), "a") == {"b"}
+    assert recurrent_letter_set(m({"a": "aa"}), "a") == {"a"}
 
 
 def test_recurrent_letters_requires_stable_sets():
     # letters(sigma(b)) = {a} changes to letters(sigma^2(b)) = {a, b}
     with pytest.raises(PreconditionError):
-        recurrent_letters(FIB, "a")
+        recurrent_letter_set(FIB, "a")
 
 
 def test_recurrent_factors_uniformly_recurrent():
     # every factor of the Fibonacci and Thue-Morse words recurs
     for sigma in (FIB, TM):
         for n in (1, 2, 4):
-            rf = recurrent_factors(sigma, "a", n)
-            assert rf.recurrent == rf.factors
+            factors, recurrent, _ = recurrent_factors(sigma, "a", n)
+            assert recurrent == factors
 
 
 def test_recurrent_factors_with_transient_prefix():
-    rf = recurrent_factors(m({"a": "ab", "b": "b"}), "a", 2)
-    assert rf.recurrent == {("b", "b")}
-    assert rf.factors == {("a", "b"), ("b", "b")}
-    rf1 = recurrent_factors(m({"a": "ab", "b": "b"}), "a", 1)
-    assert rf1.recurrent == {("b",)}
-    assert rf1.factors == {("a",), ("b",)}
+    factors, recurrent, _ = recurrent_factors(m({"a": "ab", "b": "b"}), "a", 2)
+    assert recurrent == {("b", "b")}
+    assert factors == {("a", "b"), ("b", "b")}
+    factors, recurrent, _ = recurrent_factors(m({"a": "ab", "b": "b"}), "a", 1)
+    assert recurrent == {("b",)}
+    assert factors == {("a",), ("b",)}
 
 
 def test_recurrent_factors_periodic_word():
-    rf = recurrent_factors(m({"a": "ab", "b": "ab"}), "a", 4)
-    assert rf.recurrent == {
+    _, recurrent, _ = recurrent_factors(m({"a": "ab", "b": "ab"}), "a", 4)
+    assert recurrent == {
         ("a", "b", "a", "b"), ("b", "a", "b", "a")}
 
 
@@ -155,10 +174,10 @@ def test_recurrent_index_semantics():
     cases = [(FIB, 3), (TM, 2), (m({"a": "ab", "b": "b"}), 2),
              (m({"a": "abb", "b": "bb"}), 3)]
     for sigma, n in cases:
-        rf = recurrent_factors(sigma, "a", n)
-        x = expand_fixed_point(sigma, "a", rf.index + 60 + n)
-        for i in range(rf.index, rf.index + 60):
-            assert x[i:i + n] in rf.recurrent
+        _, recurrent, index = recurrent_factors(sigma, "a", n)
+        x = expand_fixed_point(sigma, "a", index + 60 + n)
+        for i in range(index, index + 60):
+            assert x[i:i + n] in recurrent
 
 
 def test_periodic_factors():

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import m, random_endomorphism, seeded
-from hd0l.errors import InternalCheckError, PreconditionError
+from hd0l.errors import ResourceLimitError
 from hd0l.matrices import (
     NULL,
     PRIMITIVE,
@@ -11,12 +11,11 @@ from hd0l.matrices import (
     SupportMatrix,
     classify_letters,
     component_decomposition,
+    image_lengths,
     incidence_matrix,
-    letters_stabilization_exponent,
     letterset_orbit,
-    minimal_p2_exponent,
-    mortal_letters,
     satisfies_p2_at,
+    stabilizing_exponent,
 )
 from hd0l.words import compose, power
 
@@ -89,6 +88,8 @@ def test_matrix_pow_and_support():
     m5 = mat.pow(5)
     s5 = power(m({"a": "ab", "b": "a"}), 5)
     assert m5 == incidence_matrix(s5, letters=("a", "b"))
+    assert image_lengths(s5, 2) == {"a": 144, "b": 89}
+    assert image_lengths(s5, 1, m({"a": "", "b": "xyz"})) == {"a": 15, "b": 9}
     assert mat.pow(0).rows == ((1, 0), (0, 1))
     sup = mat.support()
     assert sup.masks == (0b11, 0b01)
@@ -206,10 +207,10 @@ def test_satisfies_p2():
     orbit = letterset_orbit(m({"a": "ab", "b": "c", "c": "b"}))
     assert not satisfies_p2_at(orbit, 1)
     assert satisfies_p2_at(orbit, 2)
-    assert minimal_p2_exponent(orbit) == 2
+    assert stabilizing_exponent(orbit) == 2
     # letters(sigma(b)) = {a} but letters(sigma^2(b)) = {a,b}, so e=1 fails
     fib = letterset_orbit(m({"a": "ab", "b": "a"}))
-    assert minimal_p2_exponent(fib) == 2
+    assert stabilizing_exponent(fib) == 2
 
 
 def test_p2_needs_escalation_past_alphabet_size():
@@ -218,20 +219,24 @@ def test_p2_needs_escalation_past_alphabet_size():
     sigma = m({"a": "b", "b": "c", "c": "ab"})
     orbit = letterset_orbit(sigma)
     assert not satisfies_p2_at(orbit, 3)
-    e = letters_stabilization_exponent(sigma)
+    e = stabilizing_exponent(orbit, step=3)
     assert e % 3 == 0 and satisfies_p2_at(orbit, e)
     assert e == 6
 
 
-def test_letters_stabilization_requires_p1():
-    with pytest.raises(PreconditionError):
-        letters_stabilization_exponent(m({"a": "b", "b": "a"}))
+def test_stabilizing_exponent_steps_and_cap():
+    # the swap stabilizes only at even powers
+    orbit = letterset_orbit(m({"a": "b", "b": "a"}))
+    assert stabilizing_exponent(orbit) == 2
+    assert stabilizing_exponent(orbit, step=3) == 6
+    with pytest.raises(ResourceLimitError, match="up to 5"):
+        stabilizing_exponent(orbit, step=3, cap=5)
 
 
 def test_mortal_letters():
     sigma = m({"a": "ab", "b": "c", "c": "", "d": "d"})
-    assert mortal_letters(sigma) == {"b", "c"}
-    assert mortal_letters(m({"a": "aa"})) == frozenset()
+    assert classify_letters(sigma).mortal == {"b", "c"}
+    assert classify_letters(m({"a": "aa"})).mortal == frozenset()
 
 
 def test_classify_letters_frozen_cases():

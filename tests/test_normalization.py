@@ -4,14 +4,18 @@ import pytest
 
 from conftest import m, random_endomorphism, seeded
 from hd0l.errors import BoundedImageError, PreconditionError, ResourceLimitError
-from hd0l.matrices import letterset_orbit, satisfies_p2_at
+from hd0l.matrices import (
+    component_decomposition,
+    incidence_matrix,
+    letterset_orbit,
+    satisfies_p2_at,
+    stabilizing_exponent,
+)
 from hd0l.normalization import (
     achieve_growth_inequalities,
     eliminate_erasing,
     eliminate_phi_dead,
     image_is_infinite,
-    minimal_p1_p2_exponent,
-    normalize_p1_p2,
     phi_dead_letters,
     reachable_letters,
     recurrent_letter_set,
@@ -26,29 +30,38 @@ def coding(table):
     return Morphism({a: (v,) for a, v in table.items()})
 
 
+def p1_p2_exponent(sigma, scale=1):
+    """Smallest multiple of scale times the component power with stable
+    image letter sets, as the normalization pipeline computes it."""
+    p = component_decomposition(incidence_matrix(sigma)).p
+    return stabilizing_exponent(letterset_orbit(sigma), p * scale)
+
+
 def test_minimal_exponent_fibonacci():
-    assert minimal_p1_p2_exponent(m({"a": "ab", "b": "a"})) == 2
+    assert p1_p2_exponent(m({"a": "ab", "b": "a"})) == 2
 
 
 def test_minimal_exponent_with_swap_component():
     # p = 2 and the letter sets of sigma^2 are already stable
-    assert minimal_p1_p2_exponent(m({"a": "ab", "b": "c", "c": "b"})) == 2
+    assert p1_p2_exponent(m({"a": "ab", "b": "c", "c": "b"})) == 2
 
 
 def test_normalize_p1_p2_pins_alphabet_multiple():
-    e, se = normalize_p1_p2(m({"a": "ab", "b": "c", "c": "b"}))
+    sigma = m({"a": "ab", "b": "c", "c": "b"})
+    e = p1_p2_exponent(sigma, scale=len(sigma.letters))
     assert e == 6
+    se = power(sigma, e)
     assert se.image("b") == ("b",)
     assert satisfies_p2(se)
 
 
 def test_normalize_p1_p2_escalates():
     sigma = m({"a": "b", "b": "c", "c": "ab"})
-    e, se = normalize_p1_p2(sigma)
+    e = p1_p2_exponent(sigma, scale=len(sigma.letters))
     assert e == 6  # p * |A| = 3 fails stability and must be doubled
     orbit = letterset_orbit(sigma)
     assert not satisfies_p2_at(orbit, 3) and satisfies_p2_at(orbit, 6)
-    assert satisfies_p2(se)
+    assert satisfies_p2(power(sigma, e))
 
 
 def test_reachable_letters():

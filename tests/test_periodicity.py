@@ -20,6 +20,7 @@ from hd0l.periodicity import (
     PERIOD_LANGUAGE_MISMATCH,
     Case3Witness,
     Limits,
+    _flank_scan,
     case3_period_candidate,
     convert_case2_to_growing,
     decide_growing,
@@ -34,6 +35,7 @@ from hd0l.words import (
     identity,
     minimal_period,
 )
+from helpers import flank_scan_every_occurrence
 
 FIB = m({"a": "ab", "b": "a"})
 TM = m({"a": "ab", "b": "ba"})
@@ -255,6 +257,26 @@ def test_pansiot_bounded_runs():
     assert case.case == CASE_BOUNDED_BLOCKS
     assert case.rep is not None and case.chi is not None
     assert {P4, CODING} <= case.rep.certified
+
+
+def test_flank_scan_matches_every_occurrence_scan():
+    rng = seeded(83)
+    growing = frozenset("ab")
+    cases = [(), ("a",), ("c",), ("a", "c"), ("c", "a"), ("c", "a", "c"),
+             ("a", "c", "a"), ("b", "c", "a"), ("a", "c", "b", "c"),
+             ("c", "c"), ("b",)]
+    for _ in range(600):
+        n = rng.randint(0, 9)
+        cases.append(tuple(rng.choice("aabcd") for _ in range(n)))
+    for word in cases:
+        for b in sorted(growing):
+            want = flank_scan_every_occurrence(word, b, growing, 3)
+            assert _flank_scan(word, b, growing, 3) == want, (word, b)
+    # the kinds of word the comparison has to cover
+    assert any(w and w[0] == "a" for w in cases)
+    assert any(w and w[-1] == "a" for w in cases)
+    assert any("a" not in w for w in cases)
+    assert any(sum(c in growing for c in w) == 1 for w in cases)
 
 
 def test_case3_candidate_two_cycle_orders():
