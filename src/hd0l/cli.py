@@ -306,8 +306,9 @@ def run_cli(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except ResourceLimitError as exc:
-        # only reachable when the caller lowers a resource bound; default
-        # limits decide every bundled system
+        # a cap was hit, one of Limits or a fixed one such as the compose
+        # cap; default limits hit them too (the 7-class parity split
+        # exceeds pansiot_word_cap)
         if getattr(args, "json", False):
             print(json.dumps({"answer": "inconclusive", "certified": False,
                               "diagnostic": str(exc), "trace": []}, indent=2))

@@ -139,6 +139,5 @@ def check_entry(entry, limits=None):
 
 def run_corpus(limits=None):
     """Check every corpus entry; results come back in corpus order."""
-    if limits is None:
-        limits = Limits()
+    limits = limits or Limits()
     return tuple(check_entry(e, limits) for e in CORPUS)

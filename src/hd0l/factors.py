@@ -46,26 +46,34 @@ class FactorEngine:
         return s.translate(self._by_ord)
 
     def expand_until(self, word, n, max_word=DEFAULT_MAX_WORD):
-        """Apply tau to word until it has at least n letters (word untruncated).
-        Once an iterate s is a prefix of its image, so is every later one, and
-        with tau(s[:done]) == s the next iterate is s + tau(s[done:])."""
+        """The first n letters of the first iterate tau^k(word) with at least
+        n letters.  Whole iterates are mapped, under a step cap as a bounded
+        word can cycle, until one, s, is a prefix of its image s + c; from
+        then on the iterates grow by the chunks c, tau(c), tau^2(c), ..., as
+        in words.fixed_point_chunks, and as tau does not erase, the first
+        n - len(s) letters of a chunk are enough.  The word held may not
+        pass max_word."""
         s = self.encode(word)
-        done = None
         for _ in range(10_000):
             if len(s) >= n:
-                return s
-            if done is None:
-                nxt = self.apply(s)
-            else:
-                nxt = s + self.apply(s[done:])
+                return s[:n]
+            nxt = self.apply(s)
             if nxt == s:
                 raise BoundedImageError("expand_until: word is a finite fixed word")
             if len(nxt) > max_word:
                 raise ResourceLimitError("expand_until: word cap exceeded")
-            if done is not None or nxt.startswith(s):
-                done = len(s)
+            if nxt.startswith(s):
+                break
             s = nxt
-        raise ResourceLimitError("expand_until: step cap exceeded")
+        else:
+            raise ResourceLimitError("expand_until: step cap exceeded")
+        chunk, s = nxt[len(s):], nxt
+        while len(s) < n:
+            chunk = self.apply(chunk[:n - len(s)])
+            s += chunk
+            if len(s) > max_word:
+                raise ResourceLimitError("expand_until: word cap exceeded")
+        return s[:n]
 
     def factors(self, seed_word, n, max_factors=DEFAULT_MAX_FACTORS):
         """All length-n factors of the limit language generated from seed_word:
@@ -97,7 +105,6 @@ class FactorEngine:
         if n < 1:
             raise PreconditionError("coded_window_floor: n must be positive")
         s = self.expand_until(seed_word, max(n, sample_len), max_word)
-        s = s[:max(n, sample_len)]
         table = {}
         out_codes = {}
         for a in self.tau.letters:
@@ -140,23 +147,18 @@ class BlockSubstitution:
 def _block_substitution(engine, seed_word, n, max_factors):
     base = engine.expand_until(seed_word, n)
     facs = engine.factors(seed_word, n, max_factors)
-    names = {}
-    for w in sorted(facs):
-        names[w] = "[" + "|".join(engine.decode(w)) + "]"
+    names = {w: "[" + "|".join(engine.decode(w)) + "]" for w in sorted(facs)}
     images = {}
     for w in facs:
         img = engine.apply(w)
-        first_len = len(engine.table[w[0]])
-        blocks = []
-        for j in range(first_len):
-            win = img[j:j + n]
-            if win not in names:
-                raise InternalCheckError("block image leaves the factor set")
-            blocks.append(names[win])
-        images[names[w]] = tuple(blocks)
+        blocks = tuple(names.get(img[j:j + n])
+                       for j in range(len(engine.table[w[0]])))
+        if None in blocks:
+            raise InternalCheckError("block image leaves the factor set")
+        images[names[w]] = blocks
     return BlockSubstitution(
         morphism=Morphism(images),
-        seed_name=names[base[:n]],
+        seed_name=names[base],
         factor_of={v: k for k, v in names.items()})
 
 
@@ -181,9 +183,7 @@ def _recurrent_interned(engine, seed_word, n, max_factors, max_word):
             raise ResourceLimitError("recurrent factors: block word cap exceeded")
     if word[0] != bs.seed_name:
         raise InternalCheckError("block power lost prolongability")
-    rec_names = set()
-    for b in word[1:]:
-        rec_names.update(orbit.letters_of(r, b))
+    rec_names = set().union(*(orbit.letters_of(r, b) for b in set(word[1:])))
     all_factors = frozenset(bs.factor_of[v] for v in sigma_n.letters)
     recurrent = frozenset(bs.factor_of[v] for v in rec_names)
     return all_factors, recurrent, len(word)
@@ -194,11 +194,8 @@ def lang_eq_periodic(u, v):
     ru, rv = primitive_root(as_word(u)), primitive_root(as_word(v))
     if not (ru and rv):
         raise PreconditionError("lang_eq_periodic: empty word")
-    return len(ru) == len(rv) and _is_rotation(ru, rv)
-
-
-def _is_rotation(ru, rv):
-    return any(ru[i:] + ru[:i] == rv for i in range(len(ru)))
+    return len(ru) == len(rv) and any(
+        ru[i:] + ru[:i] == rv for i in range(len(ru)))
 
 
 def finalcheck(rep, v, max_factors=DEFAULT_MAX_FACTORS):
@@ -247,10 +244,7 @@ def finalcheck(rep, v, max_factors=DEFAULT_MAX_FACTORS):
     for b in f2_rec:
         groups.setdefault(find(b), []).append(b)
     for members in groups.values():
-        shared = set(dom[members[0]])
-        for b in members[1:]:
-            shared &= dom[b]
-        if not shared:
+        if not set.intersection(*(dom[b] for b in members)):
             return None
 
     cut_bound = max(i2, i4)

@@ -49,6 +49,7 @@ from .periodicity import (
     decide_substitutive,
 )
 from .words import (
+    DEFAULT_COMPOSE_CAP,
     HD0LSystem,
     Morphism,
     UltimatelyPeriodicWord,
@@ -104,13 +105,10 @@ def _length_classes(sigma, phi):
     # a letter only has a class when the residues agree
     e = stabilized_power_exponent(sigma)
     sig_e = power(sigma, e)
-    merged = None
-    for i in range(e):
-        coding = phi if i == 0 else compose(phi, power(sigma, i))
-        cls = _couple_classes(sig_e, coding)
-        if merged is None:
-            merged = cls
-        elif merged != cls:
+    merged = _couple_classes(sig_e, phi)
+    for i in range(1, e):
+        cls = _couple_classes(sig_e, compose(phi, power(sigma, i)))
+        if merged != cls:
             bad = sorted(c for c in merged if merged[c] != cls[c])
             raise PreconditionError(
                 f"length classes: residues disagree at {bad}")
@@ -184,10 +182,7 @@ class BoundedPrefixCycle:
 
     def word_value(self, n, word):
         table = self.table_at(n)
-        out = []
-        for c in word:
-            out.extend(table[c])
-        return tuple(out)
+        return tuple(x for c in word for x in table[c])
 
 
 def bounded_prefix_cycle(sigma, phi, letters, limits=None):
@@ -221,14 +216,12 @@ def bounded_prefix_cycle(sigma, phi, letters, limits=None):
         tables.append(dict(table))
         nxt = {}
         for c in order:
-            img = []
-            for d in sigma.image(c):
-                img.extend(table[d])
+            img = tuple(x for d in sigma.image(c) for x in table[d])
             if len(img) > limits.table_entry_cap:
                 raise ResourceLimitError(
                     f"bounded_prefix_cycle: entry for {c!r} exceeds "
                     f"{limits.table_entry_cap} letters")
-            nxt[c] = tuple(img)
+            nxt[c] = img
         table = nxt
 
 
@@ -269,8 +262,6 @@ class ClassLimit:
             return UltimatelyPeriodicWord(self.prefix, self.tail.word).prefix(n)
         if isinstance(self.tail, SubstitutiveRepresentation):
             need = max(0, n - len(self.prefix))
-            if need == 0:
-                return self.prefix[:n]
             return (self.prefix + self.tail.expand_image(need))[:n]
         raise PreconditionError("limit_prefix: divergent class has no limit")
 
@@ -386,15 +377,10 @@ def class_limits(system, limits=None, trace=None):
     idx = 0
     for rho in range(modulus):
         n_hat = offset + rho
-        prefix = list(bpc.word_value(n_hat, lead))
-        for beta in betas[:start]:
-            prefix.extend(bpc.word_value(n_hat, beta))
+        prefix = bpc.word_value(n_hat, lead + sum(betas[:start], ()))
         if not cycle_empty:
-            v = []
-            for beta in betas[start:]:
-                v.extend(bpc.word_value(n_hat, beta))
-            out.append(
-                ClassLimit(idx, rho, tuple(prefix), PeriodicTail(tuple(v))))
+            v = bpc.word_value(n_hat, sum(betas[start:], ()))
+            out.append(ClassLimit(idx, rho, prefix, PeriodicTail(v)))
             idx += 1
             continue
         if q > 1:
@@ -407,7 +393,7 @@ def class_limits(system, limits=None, trace=None):
                 raise InternalCheckError(
                     "class_limits: unbounded chain letter produced a "
                     "bounded fixed point image") from exc
-            out.append(ClassLimit(idx, rho, tuple(prefix), rep))
+            out.append(ClassLimit(idx, rho, prefix, rep))
             idx += 1
     return out
 
@@ -422,24 +408,34 @@ def _confirm_limit(system, up, e, trace, limits):
 
     A window only counts once it has the full target length and repeats
     across three expansions spaced e apart; such a stabilized window that
-    still disagrees is a genuine internal failure, anything shorter is
-    recorded as unconfirmed and skipped.
+    still disagrees is a genuine internal failure.  One group of three
+    indices starts at base, the other at the first index first + j e with
+    a full-length window, j < want (else at j = want).  The windows come
+    from one walk over the iterates, cut to what the windows need, which
+    stops once its images pass DEFAULT_COMPOSE_CAP letters; anything not
+    settled by then is recorded as unconfirmed and skipped.
     """
     want = len(up.preperiod) + 10 * max(1, len(up.period))
     doubled = HD0LSystem(
         system.alphabet_a, system.alphabet_b, system.sigma, system.phi,
         system.seed + system.seed)
     base = max(2 * e + 2, 8)
-    aligned = base + e * max(0, -(-(want - base) // e))
-    ns = sorted({base + k * e for k in range(3)}
-                | {aligned + k * e for k in range(3)})
-    windows = []
-    for n in ns:
-        try:
-            windows.append((n, doubled.term(n)[:want]))
-        except ResourceLimitError:
+    first = base + e * max(0, -(-(want - base) // e))
+    windows, aligned = {}, None
+    walk = doubled.prefixes(want, budget=DEFAULT_COMPOSE_CAP)
+    for n, window in enumerate(walk):
+        if n < base or (n - base) % e:
+            continue
+        if aligned is None and n >= first and (
+                len(window) == want or n == first + want * e):
+            aligned = n
+        if n <= base + 2 * e or aligned is not None:
+            windows[n] = window
+        if aligned is not None and n == aligned + 2 * e:
             break
-    for (n0, w0), (n1, w1), (n2, w2) in zip(windows, windows[1:], windows[2:]):
+    ns = sorted(windows)
+    for n0, n1, n2 in zip(ns, ns[1:], ns[2:]):
+        w0, w1, w2 = windows[n0], windows[n1], windows[n2]
         if n1 - n0 == e and n2 - n1 == e and w0 == w1 == w2 \
                 and len(w2) == want:
             if w2 != up.prefix(want):

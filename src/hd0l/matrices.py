@@ -5,7 +5,7 @@ questions run on boolean support matrices stored as per-row bitmasks.
 """
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InternalCheckError, PreconditionError, ResourceLimitError
 
@@ -22,9 +22,7 @@ class IncidenceMatrix:
         return len(self.letters)
 
     def entry(self, a, b):
-        i = self.letters.index(a)
-        j = self.letters.index(b)
-        return self.rows[i][j]
+        return self.rows[self.letters.index(a)][self.letters.index(b)]
 
     def matmul(self, other):
         if self.letters != other.letters:
@@ -37,22 +35,25 @@ class IncidenceMatrix:
         return IncidenceMatrix(self.letters, rows)
 
     def pow(self, e):
-        if e < 0:
-            raise PreconditionError("pow: negative exponent")
-        result = identity_matrix(self.letters)
-        base = self
-        while e:
-            if e & 1:
-                result = result.matmul(base)
-            e >>= 1
-            if e:
-                base = base.matmul(base)
-        return result
+        return _binary_power(self, e, identity_matrix(self.letters))
 
     def support(self):
         masks = tuple(
             sum(1 << j for j, v in enumerate(row) if v) for row in self.rows)
         return SupportMatrix(self.letters, masks)
+
+
+def _binary_power(base, e, result):
+    """base^e by repeated squaring, result being the identity."""
+    if e < 0:
+        raise PreconditionError("pow: negative exponent")
+    while e:
+        if e & 1:
+            result = result.matmul(base)
+        e >>= 1
+        if e:
+            base = base.matmul(base)
+    return result
 
 
 def identity_matrix(letters):
@@ -95,9 +96,8 @@ class SupportMatrix:
         if self.letters != other.letters:
             raise PreconditionError("matmul: letter orders differ")
         out = []
-        for row in self.masks:
+        for r in self.masks:
             acc = 0
-            r = row
             while r:
                 k = (r & -r).bit_length() - 1
                 acc |= other.masks[k]
@@ -106,18 +106,8 @@ class SupportMatrix:
         return SupportMatrix(self.letters, tuple(out))
 
     def pow(self, e):
-        if e < 0:
-            raise PreconditionError("pow: negative exponent")
-        n = self.n
-        result = SupportMatrix(self.letters, tuple(1 << i for i in range(n)))
-        base = self
-        while e:
-            if e & 1:
-                result = result.matmul(base)
-            e >>= 1
-            if e:
-                base = base.matmul(base)
-        return result
+        one = SupportMatrix(self.letters, tuple(1 << i for i in range(self.n)))
+        return _binary_power(self, e, one)
 
     def all_positive(self):
         full = (1 << self.n) - 1
@@ -132,8 +122,7 @@ def is_primitive(support):
         raise PreconditionError("is_primitive: empty matrix")
     if n == 1:
         return bool(support.masks[0] & 1)
-    bound = n * n - 2 * n + 2
-    return support.pow(bound).all_positive()
+    return support.pow(n * n - 2 * n + 2).all_positive()
 
 
 NULL, UNIT, PRIMITIVE = "null", "unit", "primitive"
@@ -220,8 +209,7 @@ def _adjacency(support):
     """adj[j] = indices i with letters[i] occurring in the image of letters[j]."""
     n = support.n
     cols = [[] for _ in range(n)]
-    for i, mask in enumerate(support.masks):
-        m = mask
+    for i, m in enumerate(support.masks):
         while m:
             j = (m & -m).bit_length() - 1
             cols[j].append(i)
@@ -249,10 +237,6 @@ def _cyclicity(comp, adj):
     return g if g else 1
 
 
-def _lcm(a, b):
-    return a * b // gcd(a, b)
-
-
 def component_decomposition(matrix):
     """Decompose an incidence matrix into p and ordered diagonal blocks.
 
@@ -271,7 +255,7 @@ def component_decomposition(matrix):
     p = 1
     on_unit_cycle = set()
     for comp in _strong_components(n, adj):
-        p = _lcm(p, _cyclicity(comp, adj))
+        p = lcm(p, _cyclicity(comp, adj))
         if all(sum(matrix.rows[i][j] for i in comp) == 1 for j in comp):
             on_unit_cycle.update(comp)
 
@@ -311,22 +295,13 @@ def component_decomposition(matrix):
 
 
 def _submatrix_support(support, comp):
-    sub_letters = tuple(support.letters[i] for i in comp)
-    masks = []
-    for i in comp:
-        m = 0
-        for jj, j in enumerate(comp):
-            if support.masks[i] >> j & 1:
-                m |= 1 << jj
-        masks.append(m)
-    return SupportMatrix(sub_letters, tuple(masks))
+    masks = tuple(sum(1 << jj for jj, j in enumerate(comp)
+                      if support.masks[i] >> j & 1) for i in comp)
+    return SupportMatrix(tuple(support.letters[i] for i in comp), masks)
 
 
 def _check_triangular(sp, blocks):
-    pos = {}
-    for bi, blk in enumerate(blocks):
-        for a in blk.letters:
-            pos[a] = bi
+    pos = {a: bi for bi, blk in enumerate(blocks) for a in blk.letters}
     letters = sp.letters
     for i, mask in enumerate(sp.masks):
         while mask:
@@ -447,7 +422,6 @@ def classify_letters(sigma, phi=None):
         a for i, a in enumerate(orbit.letters)
         if not any(phi is None or phi.image(c)
                    for state in cycle for c in state[i]))
-    p = dec.p
     growing = set()
     bounded = set()
     for blk in reversed(dec.blocks):
@@ -456,7 +430,7 @@ def classify_letters(sigma, phi=None):
                 (bounded if a in mortal else growing).add(a)
             continue
         b = blk.letters[0]
-        image_letters = orbit.letters_of(p, b)
+        image_letters = orbit.letters_of(dec.p, b)
         if blk.kind == UNIT:
             flank = image_letters - {b}
             (bounded if flank <= mortal else growing).add(b)

@@ -32,6 +32,7 @@ from .words import (
     Morphism,
     compose,
     expand_fixed_point,
+    fixed_point_chunks,
     is_prolongable,
     power,
 )
@@ -41,8 +42,7 @@ ALL_PROPERTIES = frozenset({P1, P2, P3, P4, CODING})
 
 
 def satisfies_p2(sigma):
-    orbit = letterset_orbit(sigma)
-    return satisfies_p2_at(orbit, 1)
+    return satisfies_p2_at(letterset_orbit(sigma), 1)
 
 
 def reachable_letters(sigma, seeds):
@@ -70,14 +70,9 @@ def _delete_letters(word, gone):
 def phi_dead_letters(sigma, phi):
     """Letters whose entire sigma-future is erased by phi: phi(sigma^k(d)) = e
     for all k >= 0. Computed on the reachability closure, no stability needed."""
-    dead = set()
-    for d in sigma.letters:
-        if phi.image(d):
-            continue
-        closure = reachable_letters(sigma, (d,))
-        if all(not phi.image(c) for c in closure):
-            dead.add(d)
-    return frozenset(dead)
+    return frozenset(
+        d for d in sigma.letters if not phi.image(d)
+        and not any(phi.image(c) for c in reachable_letters(sigma, (d,))))
 
 
 def eliminate_erasing(sigma, phi, a):
@@ -176,11 +171,8 @@ def _growth_candidate(sigma, phi):
     before falling back to doubling."""
     targets = {b: len(phi.image(b)) for b in sigma.letters}
     ceiling = max(1, max(targets.values(), default=1))
-    candidates = list(range(1, ceiling + 1))
-    k = ceiling
-    for _ in range(MAX_POWER_DOUBLINGS):
-        k *= 2
-        candidates.append(k)
+    candidates = list(range(1, ceiling + 1)) + [
+        ceiling << i for i in range(1, MAX_POWER_DOUBLINGS + 1)]
     for k in candidates:
         reached = image_lengths(sigma, k, phi)
         if all(reached[b] >= targets[b] for b in sigma.letters):
@@ -223,10 +215,8 @@ def to_coding(sigma, phi, a):
     if not is_prolongable(tau, d0):
         raise InternalCheckError("to_coding: derived seed not prolongable")
     for b in sigma.letters:
-        spelled = []
-        for i in range(len(phi.image(b))):
-            spelled.extend(kappa(tau.image(slot(b, i))))
-        if tuple(spelled) != phi(sigma.image(b)):
+        slots = tuple(slot(b, i) for i in range(len(phi.image(b))))
+        if kappa(tau(slots)) != phi(sigma.image(b)):
             raise InternalCheckError("to_coding: slot identity broken")
     return tau, kappa, d0
 
@@ -256,11 +246,8 @@ class SubstitutiveRepresentation:
             raise InternalCheckError("verify: kappa not a coding over the alphabet")
         return True
 
-    def expand_core(self, n):
-        return expand_fixed_point(self.tau, self.seed, n)
-
     def expand_image(self, n):
-        return self.kappa(self.expand_core(n))
+        return self.kappa(expand_fixed_point(self.tau, self.seed, n))
 
 
 def _p1_p2_power(sigma):
@@ -320,20 +307,13 @@ def substitutive_representation(sigma, phi, a, fidelity=400):
 
 
 def _check_fidelity(rep, original, n):
+    """Compare rep with lim phi(sigma^k(a)), which the caller has shown to be
+    infinite, on its first n letters, read off the fixed point chunk by chunk."""
     sigma, phi, a = original
-    want = _direct_image_prefix(sigma, phi, a, n)
-    got = rep.expand_image(len(want))
-    if got != want:
+    want = []
+    for chunk in fixed_point_chunks(sigma, a):
+        want.extend(phi(chunk))
+        if len(want) >= n:
+            break
+    if rep.expand_image(n) != tuple(want[:n]):
         raise InternalCheckError("representation disagrees with direct expansion")
-
-
-def _direct_image_prefix(sigma, phi, a, n):
-    """Prefix of lim phi(sigma^k(a)) of length up to n, by direct expansion."""
-    m = n
-    for _ in range(24):
-        x = expand_fixed_point(sigma, a, m)
-        y = phi(x)
-        if len(y) >= n:
-            return y[:n]
-        m *= 2
-    return y

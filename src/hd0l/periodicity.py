@@ -131,9 +131,7 @@ def make_sub_substitutions(sigma):
         path, j = eventual_cycle(min(blk.letters), lambda b: sub.image(b)[0])
         cycle = path[j:]
         picks.append((blk.letters, sub, min(cycle), len(cycle)))
-    k = 1
-    for _, _, _, k_i in picks:
-        k = math.lcm(k, k_i)
+    k = math.lcm(*(k_i for *_, k_i in picks))
     subs = []
     for letters, sub, a_i, _ in picks:
         if image_lengths(sub, k)[a_i] < 2:
@@ -169,17 +167,12 @@ def primitive_periodicity(tau_i, a_i, kappa, limits=None, exponent=1):
         raise PreconditionError("primitive_periodicity: not primitive")
     letters = tau_i.letters
     formula = len(letters) * (1 + tau_i.max_image_len()) ** (len(letters) + 2)
-    if limits.primitive_bound is not None:
-        bound = limits.primitive_bound
-    else:
-        bound = min(formula, limits.primitive_hard_cap)
+    bound = (limits.primitive_bound if limits.primitive_bound is not None
+             else min(formula, limits.primitive_hard_cap))
     certified = bound >= formula
     eng = FactorEngine(tau_i)
-    ns = []
-    n = 1
-    while n <= min(bound, limits.small_scan):
-        ns.append(n)
-        n *= 2
+    top = max(0, min(bound, limits.small_scan))
+    ns = [1 << i for i in range(top.bit_length())]  # powers of two up to top
     if not ns or ns[-1] != bound:
         ns.append(bound)
     witness = None
@@ -198,8 +191,6 @@ def primitive_periodicity(tau_i, a_i, kappa, limits=None, exponent=1):
     if witness is None:
         return PrimitiveVerdict(False, None, certified, bound, formula)
     tau_pow = tau_i if exponent == 1 else power(tau_i, exponent)
-    if not is_prolongable(tau_pow, a_i):
-        raise PreconditionError("primitive_periodicity: power not prolongable")
     prefix = kappa(expand_fixed_point(tau_pow, a_i, 3 * witness))
     v = prefix[:minimal_period(prefix)]
     rep = SubstitutiveRepresentation(
@@ -298,21 +289,8 @@ class PansiotCase:
 
 def _segment(word, growing):
     """Split as (leading non-growing run, [(growing letter, following run)])."""
-    nu = []
-    i = 0
-    while i < len(word) and word[i] not in growing:
-        nu.append(word[i])
-        i += 1
-    segments = []
-    while i < len(word):
-        h = word[i]
-        i += 1
-        run = []
-        while i < len(word) and word[i] not in growing:
-            run.append(word[i])
-            i += 1
-        segments.append((h, tuple(run)))
-    return tuple(nu), segments
+    at = [i for i, c in enumerate(word) if c in growing] + [len(word)]
+    return word[:at[0]], [(word[i], word[i + 1:j]) for i, j in zip(at, at[1:])]
 
 
 def _spell(triple):
@@ -323,15 +301,11 @@ def _spell(triple):
 def _triple_image(sigma, triple, growing):
     """Image units of a flanked letter: segment the image word, the leading
     non-growing run going to the first unit."""
-    image = sigma(_spell(triple))
-    nu, segments = _segment(image, growing)
+    nu, segments = _segment(sigma(_spell(triple)), growing)
     if not segments:
         raise InternalCheckError("image of a growing letter lost its growth")
-    head_h, head_run = segments[0]
-    out = [(nu, head_h, head_run)]
-    for h, run in segments[1:]:
-        out.append(((), h, run))
-    return tuple(out)
+    return tuple((nu if i == 0 else (), h, run)
+                 for i, (h, run) in enumerate(segments))
 
 
 class _TripleClosure:
@@ -454,10 +428,7 @@ def convert_case2_to_growing(sigma, a, limits=None):
     images = closure.images
     start = ((), a, ())
     for triple, img in images.items():
-        spelled = ()
-        for unit in img:
-            spelled += _spell(unit)
-        if spelled != sigma(_spell(triple)):
+        if sum(map(_spell, img), ()) != sigma(_spell(triple)):
             raise InternalCheckError("convert: decoder does not commute")
 
     path, j = eventual_cycle(start, lambda t: images[t][0])
@@ -555,10 +526,8 @@ def case3_period_candidate(sigma, witness, limits=None):
             raise ResourceLimitError("case-3 flank orbit exceeds cap")
     cycle = chain[i:]
     if witness.side == "left":
-        cycle = list(reversed(cycle))
-    out = ()
-    for w in cycle:
-        out += w
+        cycle.reverse()
+    out = sum(cycle, ())
     if not out:
         raise InternalCheckError("case-3 flank vanished under a non-erasing map")
     return out

@@ -5,6 +5,7 @@ derived alphabets (pairs, blocks, position slots) can carry readable names.
 """
 
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 from .errors import (
     BoundedImageError,
@@ -14,25 +15,17 @@ from .errors import (
     SystemValidationError,
 )
 
-Word = tuple
-
-EPSILON = ()
-
 
 def as_word(x):
-    """Coerce a str / list / tuple into a Word (tuple of 1-char strings for str input)."""
-    if isinstance(x, tuple):
-        return x
-    if isinstance(x, str):
-        return tuple(x)
-    return tuple(x)
+    """Coerce a str / list / tuple into a word (tuple of 1-char strings for str input)."""
+    return x if isinstance(x, tuple) else tuple(x)
 
 
 def word_str(w):
     """Human-readable rendering; joins single-char letters, brackets multi-char ones."""
     if not w:
         return "e"
-    if all(len(a) == 1 for a in w):
+    if set(map(len, w)) == {1}:
         return "".join(w)
     return ".".join(w)
 
@@ -103,10 +96,8 @@ class Morphism:
         return Morphism({a: self.images[a] for a in keep})
 
     def pretty(self):
-        parts = []
-        for a in self.letters:
-            parts.append(f"{a}->{word_str(self.images[a])}")
-        return "{" + ", ".join(parts) + "}"
+        return "{" + ", ".join(
+            f"{a}->{word_str(self.images[a])}" for a in self.letters) + "}"
 
     def __eq__(self, other):
         return isinstance(other, Morphism) and self.images == other.images
@@ -164,34 +155,31 @@ def is_prolongable(sigma, a):
     return len(img) >= 2 and img[0] == a
 
 
-def expand_fixed_point(sigma, a, n, max_steps=10_000, allow_short=False):
-    """First n letters of the fixed point of sigma at prolongable letter a.
+def fixed_point_chunks(sigma, a):
+    """The fixed point of sigma at the prolongable letter a, chunk by chunk.
 
-    Iterates full words (no truncation below n) so cycle detection stays exact.
-    A finite fixed point raises BoundedImageError unless allow_short is set.
+    With sigma(a) = a u, sigma^(k+1)(a) = sigma^k(a) sigma^k(u), so the fixed
+    point reads a, u, sigma(u), sigma^2(u), ...; every chunk is the image of
+    the one before it.  An empty chunk means the fixed point is finite, which
+    raises BoundedImageError.
     """
     if not sigma.is_endomorphism:
-        raise PreconditionError("expand_fixed_point: not an endomorphism")
+        raise PreconditionError("fixed_point_chunks: not an endomorphism")
     if not is_prolongable(sigma, a):
-        raise PreconditionError(f"expand_fixed_point: sigma not prolongable at {a!r}")
-    w = (a,)
-    seen = {w}
-    for _ in range(max_steps):
-        if len(w) >= n:
-            return w[:n]
-        nxt = sigma(w)
-        if nxt == w:
-            if allow_short:
-                return w
-            raise BoundedImageError(
-                f"fixed point at {a!r} is finite ({len(w)} letters)")
-        if len(nxt) <= n and nxt in seen:
-            raise BoundedImageError(
-                f"iteration at {a!r} cycles without converging")
-        if len(nxt) <= n:
-            seen.add(nxt)
-        w = nxt
-    raise ResourceLimitError(f"expand_fixed_point: no length-{n} prefix after {max_steps} steps")
+        raise PreconditionError(f"fixed_point_chunks: sigma not prolongable at {a!r}")
+    yield (a,)
+    chunk, length = sigma.image(a)[1:], 1
+    while chunk:
+        yield chunk
+        length += len(chunk)
+        chunk = sigma(chunk)
+    raise BoundedImageError(f"fixed point at {a!r} is finite ({length} letters)")
+
+
+def expand_fixed_point(sigma, a, n):
+    """First n letters of the fixed point of sigma at prolongable letter a;
+    a finite fixed point shorter than n raises BoundedImageError."""
+    return tuple(islice(chain.from_iterable(fixed_point_chunks(sigma, a)), n))
 
 
 def eventual_cycle(start, step):
@@ -226,13 +214,8 @@ def minimal_period(word):
 
 def primitive_root(word):
     """Shortest r with word = r^k."""
-    m = len(word)
-    if m == 0:
-        return word
     r = minimal_period(word)
-    if m % r == 0:
-        return word[:r]
-    return word
+    return word[:r] if r and len(word) % r == 0 else word
 
 
 @dataclass(frozen=True)
@@ -248,11 +231,7 @@ class UltimatelyPeriodicWord:
 
     def prefix(self, n):
         u, v = self.preperiod, self.period
-        if n <= len(u):
-            return u[:n]
-        k = n - len(u)
-        reps = k // len(v) + 1
-        return (u + v * reps)[:n]
+        return (u + v * (max(0, n - len(u)) // len(v) + 1))[:n]
 
     def __str__(self):
         return f"{word_str(self.preperiod)}({word_str(self.period)})^w"
@@ -297,16 +276,36 @@ class HD0LSystem:
         if problems:
             raise SystemValidationError(problems)
 
-    def term(self, k, cap=DEFAULT_COMPOSE_CAP):
-        """phi(sigma^k(w)), the k-th word of the image sequence."""
-        w = self.seed
-        total = 0
-        for _ in range(k):
-            w = self.sigma(w)
-            total += len(w)
-            if total > cap:
-                raise ResourceLimitError(f"term: expansion exceeds {cap} letters")
-        return self.phi(w)
+    def term(self, k, n=None):
+        """phi(sigma^k(w)), the k-th word of the image sequence, or its first
+        n letters."""
+        return next(islice(self.prefixes(n), k, None))
+
+    def prefixes(self, n=None, budget=None):
+        """phi(sigma^k(w)) for k = 0, 1, 2, ..., or their first n letters.
+
+        For a prefix every iterate is cut at m letters, which keeps a prefix
+        of the true iterate; when a cut lost letters that phi still needed,
+        m doubles and the walk restarts from the seed, so erasing sigma and
+        phi stay exact.  With a budget the walk ends once the images of
+        sigma it built pass that many letters in all."""
+        m, spent, done = n, 0, 0
+        while True:
+            w, cut, k = self.seed, False, 0
+            while True:
+                y = self.phi(w)
+                if cut and len(y) < n:
+                    break
+                if k == done:
+                    yield y[:n]
+                    done += 1
+                w, k = self.sigma(w), k + 1
+                spent += len(w)
+                if budget is not None and spent > budget:
+                    return
+                if m is not None and len(w) > m:
+                    w, cut = w[:m], True
+            m *= 2
 
 
 def validate_system(alphabet_a, alphabet_b, sigma, phi, seed):

@@ -10,7 +10,6 @@ from conftest import m, random_endomorphism, seeded
 from test_matrices import naive_is_primitive, support_from_rows
 
 from hd0l.corpus import CORPUS
-from hd0l.factors import FactorEngine
 from hd0l.hdol import class_limits, decide_hd0l, stabilized_power_exponent
 from hd0l.matrices import (
     NULL,
@@ -24,7 +23,6 @@ from hd0l.matrices import (
     stabilizing_exponent,
 )
 from hd0l.normalization import (
-    SubstitutiveRepresentation,
     restrict_to_reachable,
     substitutive_representation,
 )
@@ -102,16 +100,6 @@ def raw_limit_prefix(system, n, rounds=60):
     raise AssertionError("raw iteration did not stabilize a long enough prefix")
 
 
-def rep_image_prefix(rep, n):
-    """rep.expand_image(n) through the interned string engine, which stays
-    linear even when the core fixed point grows only linearly."""
-    if n == 0:
-        return ()
-    eng = FactorEngine(rep.tau)
-    core = eng.decode(eng.expand_until((rep.seed,), n)[:n])
-    return rep.kappa(core)[:n]
-
-
 def couple0_class0_prefix(system, n):
     """The decision procedure's own class-resolved limit prefix."""
     seed = tuple(system.seed)
@@ -119,11 +107,7 @@ def couple0_class0_prefix(system, n):
     sig_e = power(sigma, stabilized_power_exponent(sigma))
     couple = HD0LSystem(sig_e.letters, system.alphabet_b, sig_e, phi,
                         seed + seed)
-    cl = class_limits(couple)[0]
-    if isinstance(cl.tail, SubstitutiveRepresentation):
-        need = max(0, n - len(cl.prefix))
-        return (cl.prefix + rep_image_prefix(cl.tail, need))[:n]
-    return cl.limit_prefix(n)
+    return class_limits(couple)[0].limit_prefix(n)
 
 
 def test_criterion_1_primitivity_equivalence():
@@ -188,7 +172,7 @@ def test_criterion_3_normalization_fidelity():
         if len(seed) == 1 and is_prolongable(system.sigma, seed[0]):
             rep = substitutive_representation(system.sigma, system.phi,
                                               seed[0])
-            assert rep_image_prefix(rep, horizon) == direct, entry.name
+            assert rep.expand_image(horizon) == direct, entry.name
         checked += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"fidelity sweep took {elapsed:.2f}s"

@@ -1,6 +1,10 @@
 """Serialization, brute-force oracle, bundled corpus, and CLI surface."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +163,33 @@ def test_corpus_all_entries_pass():
         (r.entry.name, r.detail) for r in results if not r.ok]
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden" / "corpus_decide.jsonl"
+
+
+def corpus_decide_outputs(directory):
+    """Exit code and output of `decide --json --trace` on every corpus entry,
+    one JSON line each.  After a change meant to alter them, rewrite the
+    golden file with
+    PYTHONPATH=src:tests python -c 'import test_cli; test_cli.write_golden()'"""
+    rows = ""
+    for entry in CORPUS:
+        path = write_doc(directory, "doc.json", serialize_system(entry.system))
+        with contextlib.redirect_stdout(io.StringIO()) as printed:
+            code = run_cli(["decide", path, "--json", "--trace"])
+        rows += json.dumps({"name": entry.name, "exit": code,
+                            "stdout": printed.getvalue()}) + "\n"
+    return rows
+
+
+def write_golden():
+    with tempfile.TemporaryDirectory() as tmp:
+        GOLDEN.write_text(corpus_decide_outputs(Path(tmp)), encoding="utf-8")
+
+
+def test_corpus_decide_matches_golden_file(tmp_path):
+    assert corpus_decide_outputs(tmp_path) == GOLDEN.read_text(encoding="utf-8")
+
+
 def test_corpus_has_required_shapes():
     names = {e.name for e in CORPUS}
     assert len(CORPUS) >= 10
@@ -233,6 +264,13 @@ def test_cli_expand(tmp_path, capsys):
                      make_doc({"a": "ab", "b": "bb"}))
     assert run_cli(["expand", path, "--length", "12"]) == EXIT_YES
     assert capsys.readouterr().out.strip() == "a" + "b" * 11
+
+
+def test_cli_expand_linear_growth_past_ten_thousand(tmp_path, capsys):
+    # one new letter per step: a step-capped expansion stops at 10,000
+    path = write_doc(tmp_path, "tail.json", make_doc({"b": "bc", "c": "c"}, w="b"))
+    assert run_cli(["expand", path, "--length", "10050"]) == EXIT_YES
+    assert capsys.readouterr().out.strip() == "b" + "c" * 10049
 
 
 def test_cli_expand_aperiodic_limit(tmp_path, capsys):

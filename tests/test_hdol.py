@@ -379,6 +379,19 @@ def test_decide_periodic_through_vanishing_letters():
     assert up_equal(out.up, UltimatelyPeriodicWord(("x",), ("x", "y")))
 
 
+def test_decide_confirmation_stays_within_its_letter_budget():
+    # c is erased but grows tenfold, so the tenth b of sigma^n(a a) lies past
+    # 10^8 letters: the direct re-check runs out of letters and is skipped,
+    # and the verdict stands
+    sigma = m({"a": "abc", "b": "b", "c": "c" * 10})
+    phi = Morphism({"a": "x", "b": "y", "c": ""}, codomain={"x", "y"})
+    out = decide_hd0l(hd0l(sigma, phi, "a"))
+    assert out.periodic and out.certified
+    assert up_equal(out.up, UltimatelyPeriodicWord(("x",), ("y",)))
+    assert ("direct confirmation skipped (no stabilized window in range)"
+            in out.trace)
+
+
 def test_decide_seed_word_with_leading_bounded_letter():
     out = decide_hd0l(id_system(m({"a": "ca", "c": "c"}), "ca"))
     assert out.periodic

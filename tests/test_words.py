@@ -99,7 +99,30 @@ def test_expand_fixed_point_finite_raises():
     sigma = m({"a": "ab", "b": ""})
     with pytest.raises(BoundedImageError):
         expand_fixed_point(sigma, "a", 10)
-    assert expand_fixed_point(sigma, "a", 10, allow_short=True) == ("a", "b")
+
+
+def test_expand_fixed_point_matches_whole_word_iteration():
+    # reference: sigma^k(a) is a prefix of sigma^(k+1)(a), and an iterate
+    # equal to its image is the whole (finite) fixed point
+    rng = seeded(29)
+    finite = erasing = 0
+    for _ in range(300):
+        letters = "abc"[: rng.randint(1, 3)]
+        a = letters[0]
+        images = random_endomorphism(rng, letters).images
+        images[a] = (a,) + tuple(
+            rng.choice(letters) for _ in range(rng.randint(1, 3)))
+        sigma, n, want = Morphism(images), rng.randint(0, 200), (a,)
+        while len(want) < n and sigma(want) != want:
+            want = sigma(want)
+        erasing += not sigma.is_non_erasing
+        finite += len(want) < n
+        if len(want) < n:
+            with pytest.raises(BoundedImageError):
+                expand_fixed_point(sigma, a, n)
+        else:
+            assert expand_fixed_point(sigma, a, n) == want[:n]
+    assert finite and erasing
 
 
 def test_expand_fixed_point_with_erasing_tail():
@@ -172,6 +195,33 @@ def test_system_term():
     sys = HD0LSystem(("a", "b"), ("0", "1"), sigma, phi, ("a",))
     assert sys.term(0) == ("0",)
     assert sys.term(3) == tuple("0111")
+
+
+def test_term_prefix_matches_full_term():
+    # cutting the iterates must keep every letter phi reads, also when
+    # sigma and phi erase
+    rng = seeded(31)
+    erasing = 0
+    for _ in range(300):
+        letters = "abc"[: rng.randint(1, 3)]
+        sigma = random_endomorphism(rng, letters)
+        phi = random_endomorphism(rng, letters)
+        seed = tuple(rng.choice(letters) for _ in range(rng.randint(1, 3)))
+        system = HD0LSystem(tuple(letters), tuple(letters), sigma, phi, seed)
+        k = rng.randint(0, 8)
+        full = system.term(k)
+        erasing += not (sigma.is_non_erasing or phi.is_non_erasing)
+        for n in (0, 1, rng.randint(1, 40), len(full), len(full) + 1):
+            assert system.term(k, n) == full[:n]
+    assert erasing
+
+
+def test_prefixes_end_at_the_letter_budget():
+    # sigma builds 2, 4, 6 letters (cut at 3), then 6 more would pass 14
+    sigma = m({"a": "aa"})
+    system = HD0LSystem(("a",), ("a",), sigma, identity("a"), ("a",))
+    assert list(system.prefixes(3, budget=14)) == [
+        ("a",), ("a",) * 2, ("a",) * 3, ("a",) * 3]
 
 
 def test_power_agrees_with_iterated_apply_random():
