@@ -25,7 +25,6 @@ from .errors import (
     SystemValidationError,
 )
 from .hdol import class_limits, decide_hd0l, phi_length_class, stabilized_power_exponent
-from .matrices import component_decomposition, incidence_matrix
 from .normalization import restrict_to_reachable, substitutive_representation
 from .periodicity import Limits
 from .words import HD0LSystem, Morphism, is_prolongable, power, word_str
@@ -200,7 +199,7 @@ def _cmd_expand(args):
 def _cmd_analyze(args):
     system = _load(args.file)
     sigma, phi = system.sigma, system.phi
-    dec = component_decomposition(incidence_matrix(sigma))
+    dec = sigma.facts.decomposition
     print(f"letters: {len(sigma.letters)}")
     print(f"component power p = {dec.p}")
     for i, blk in enumerate(dec.blocks):

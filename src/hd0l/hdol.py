@@ -26,14 +26,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .matrices import (
-    classify_letters,
-    component_decomposition,
-    incidence_matrix,
-    letterset_orbit,
-    satisfies_p2_at,
-    stabilizing_exponent,
-)
+from .matrices import classify_letters
 from .normalization import (
     SubstitutiveRepresentation,
     restrict_to_reachable,
@@ -81,7 +74,7 @@ def _couple_classes(sigma, phi):
     positive, growing exactly when the growth walk with phi as the weights
     says so.
     """
-    if not satisfies_p2_at(letterset_orbit(sigma), 1):
+    if not sigma.facts.p2:
         raise PreconditionError("length classes: image letter sets not stable")
     cls = classify_letters(sigma, phi)
     return {c: TO_ZERO if c in cls.mortal
@@ -90,24 +83,19 @@ def _couple_classes(sigma, phi):
 
 
 def stabilized_power_exponent(sigma, cap=None):
-    """Smallest multiple e of the component power such that sigma^e has
-    stable image letter sets (and then automatically component power 1).
-    The driver splits indices modulo e."""
+    """sigma.facts.stable_exponent, under the couple power cap by default."""
     cap = cap if cap is not None else DEFAULT_LIMITS.couple_power_cap
-    dec = component_decomposition(incidence_matrix(sigma))
-    return stabilizing_exponent(letterset_orbit(sigma), dec.p, cap)
+    return sigma.facts.stable_exponent(cap)
 
 
 def _length_classes(sigma, phi):
-    if satisfies_p2_at(letterset_orbit(sigma), 1):
-        return _couple_classes(sigma, phi)
-    # fall back to the stabilized power and classify along every residue;
-    # a letter only has a class when the residues agree
     e = stabilized_power_exponent(sigma)
     sig_e = power(sigma, e)
     merged = _couple_classes(sig_e, phi)
-    for i in range(1, e):
-        cls = _couple_classes(sig_e, compose(phi, power(sigma, i)))
+    phi_i = phi
+    for _ in range(1, e):
+        phi_i = compose(phi_i, sigma)
+        cls = _couple_classes(sig_e, phi_i)
         if merged != cls:
             bad = sorted(c for c in merged if merged[c] != cls[c])
             raise PreconditionError(
@@ -473,7 +461,7 @@ def decide_hd0l(system, limits=None):
 
     entries = []
     for i in range(e):
-        phi_i = phi if i == 0 else compose(phi, power(sigma, i))
+        phi_i = compose(phi_i, sigma) if i else phi
         classes = _couple_classes(sig_e, phi_i)
         if not any(classes[c] == TO_INFINITY for c in w2):
             trace.append(

@@ -5,6 +5,8 @@ questions run on boolean support matrices stored as per-row bitmasks.
 """
 
 from dataclasses import dataclass
+import weakref
+from functools import cached_property
 from math import gcd, lcm
 
 from .errors import InternalCheckError, PreconditionError, ResourceLimitError
@@ -390,6 +392,30 @@ def stabilizing_exponent(orbit, step=1, cap=None):
     raise InternalCheckError("no stabilizing exponent within the orbit bound")
 
 
+class MorphismFacts:
+    """The analysis of one endomorphism, each part computed on first read;
+    kept per instance by Morphism.facts, as images never change."""
+
+    def __init__(self, sigma):
+        self._sigma = weakref.ref(sigma)  # no cycle: freed with sigma
+
+    @cached_property
+    def decomposition(self):
+        return component_decomposition(incidence_matrix(self._sigma()))
+
+    @cached_property
+    def orbit(self):
+        return letterset_orbit(self._sigma())
+
+    @property
+    def p2(self):
+        return satisfies_p2_at(self.orbit, 1)
+
+    def stable_exponent(self, cap=None):
+        """Smallest multiple of the component power with stable letter sets."""
+        return stabilizing_exponent(self.orbit, self.decomposition.p, cap)
+
+
 # ---------------------------------------------------------------------------
 # Growth classification.
 
@@ -415,8 +441,7 @@ def classify_letters(sigma, phi=None):
       unit block {b} (sigma^p(b) = x b y): b bounded iff x y is all mortal;
       null block {b}: b bounded iff every letter of sigma^p(b) is bounded.
     """
-    dec = component_decomposition(incidence_matrix(sigma))
-    orbit = letterset_orbit(sigma)
+    dec, orbit = sigma.facts.decomposition, sigma.facts.orbit
     cycle = orbit.states[orbit.preperiod:]
     mortal = frozenset(
         a for i, a in enumerate(orbit.letters)

@@ -20,14 +20,7 @@ from .errors import (
     InternalCheckError,
     PreconditionError,
 )
-from .matrices import (
-    component_decomposition,
-    image_lengths,
-    incidence_matrix,
-    letterset_orbit,
-    satisfies_p2_at,
-    stabilizing_exponent,
-)
+from .matrices import image_lengths
 from .words import (
     Morphism,
     compose,
@@ -39,10 +32,6 @@ from .words import (
 
 P1, P2, P3, P4, CODING = "P1", "P2", "P3", "P4", "CODING"
 ALL_PROPERTIES = frozenset({P1, P2, P3, P4, CODING})
-
-
-def satisfies_p2(sigma):
-    return satisfies_p2_at(letterset_orbit(sigma), 1)
 
 
 def reachable_letters(sigma, seeds):
@@ -83,7 +72,7 @@ def eliminate_erasing(sigma, phi, a):
     sigma(x) = x makes (delete o sigma, phi o sigma) exact: the new fixed point
     is delete(x) and its phi o sigma image is phi(x).
     """
-    if not satisfies_p2(sigma):
+    if not sigma.facts.p2:
         raise PreconditionError("eliminate_erasing: image letter sets not stable")
     gone = sigma.erasing_letters()
     if not gone:
@@ -122,9 +111,10 @@ def recurrent_letter_set(sigma, a):
     img = sigma.image(a)
     if not (len(img) >= 1 and img[0] == a):
         raise PreconditionError("recurrent_letter_set: sigma(a) must start with a")
-    if not satisfies_p2(sigma):
+    if not sigma.facts.p2:
         raise PreconditionError("recurrent_letter_set: letter sets not stable")
-    return frozenset(c for b in img[1:] for c in sigma.image(b))
+    orbit = sigma.facts.orbit
+    return frozenset().union(*(orbit.letters_of(1, b) for b in set(img[1:])))
 
 
 def image_is_infinite(sigma, phi, a):
@@ -233,11 +223,7 @@ class SubstitutiveRepresentation:
 
     def verify(self):
         tau, kappa, seed = self.tau, self.kappa, self.seed
-        orbit = letterset_orbit(tau)
-        if component_decomposition(incidence_matrix(tau)).p != 1:
-            raise InternalCheckError("verify: P1 fails")
-        if not satisfies_p2_at(orbit, 1):
-            raise InternalCheckError("verify: P2 fails")
+        _assert_p1_p2(tau, "verify")
         if tau.domain != {seed} | set(tau.image(seed)):
             raise InternalCheckError("verify: P3 fails")
         if not (tau.is_non_erasing and is_prolongable(tau, seed)):
@@ -250,18 +236,11 @@ class SubstitutiveRepresentation:
         return self.kappa(expand_fixed_point(self.tau, self.seed, n))
 
 
-def _p1_p2_power(sigma):
-    """sigma^e for the smallest multiple e of the component power with
-    stable image letter sets, which has properties P1 and P2."""
-    dec = component_decomposition(incidence_matrix(sigma))
-    return power(sigma, stabilizing_exponent(letterset_orbit(sigma), dec.p))
-
-
 def _assert_p1_p2(sigma, where):
-    if component_decomposition(incidence_matrix(sigma)).p != 1:
-        raise InternalCheckError(f"{where}: P1 lost")
-    if not satisfies_p2(sigma):
-        raise InternalCheckError(f"{where}: P2 lost")
+    if sigma.facts.decomposition.p != 1:
+        raise InternalCheckError(f"{where}: P1 fails")
+    if not sigma.facts.p2:
+        raise InternalCheckError(f"{where}: P2 fails")
 
 
 def substitutive_representation(sigma, phi, a, fidelity=400):
@@ -273,9 +252,9 @@ def substitutive_representation(sigma, phi, a, fidelity=400):
         raise PreconditionError("substitutive_representation: seed not prolongable")
     original = (sigma, phi, a)
 
-    cur_sigma = _p1_p2_power(sigma)
-    cur_phi = phi
-    cur_sigma, cur_phi, _ = restrict_to_reachable(cur_sigma, cur_phi, (a,))
+    # the stabilized power has properties P1 and P2
+    cur_sigma = power(sigma, sigma.facts.stable_exponent())
+    cur_sigma, cur_phi, _ = restrict_to_reachable(cur_sigma, phi, (a,))
 
     # alternate the two eliminations until neither applies; each round shrinks
     # the alphabet, and both preserve P1/P2
@@ -296,7 +275,7 @@ def substitutive_representation(sigma, phi, a, fidelity=400):
     cur_sigma, cur_phi = achieve_growth_inequalities(cur_sigma, cur_phi, a)
     tau, kappa, d0 = to_coding(cur_sigma, cur_phi, a)
 
-    tau = _p1_p2_power(tau)
+    tau = power(tau, tau.facts.stable_exponent())
     tau, kappa, _ = restrict_to_reachable(tau, kappa, (d0,))
 
     rep = SubstitutiveRepresentation(tau, kappa, d0, ALL_PROPERTIES)

@@ -14,7 +14,6 @@ from .matrices import (
     NULL,
     PRIMITIVE,
     classify_letters,
-    component_decomposition,
     image_lengths,
     incidence_matrix,
     is_primitive,
@@ -117,9 +116,8 @@ def make_sub_substitutions(sigma):
     graph, so some letter a_i lies on a cycle of length k_i <= |component|
     and sigma_i^{k_i}(a_i) starts with a_i. The shared exponent is the lcm
     of the k_i, which every component accepts."""
-    dec = component_decomposition(incidence_matrix(sigma))
     picks = []
-    for blk in dec.blocks:
+    for blk in sigma.facts.decomposition.blocks:
         if not blk.principal:
             continue
         if blk.kind == NULL:

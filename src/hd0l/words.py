@@ -14,6 +14,7 @@ from .errors import (
     ResourceLimitError,
     SystemValidationError,
 )
+from .matrices import MorphismFacts
 
 
 def as_word(x):
@@ -33,7 +34,7 @@ def word_str(w):
 class Morphism:
     """A morphism between free monoids, stored as a letter -> image-word table."""
 
-    __slots__ = ("images", "domain", "codomain", "letters")
+    __slots__ = ("images", "domain", "codomain", "letters", "_facts", "__weakref__")
 
     def __init__(self, images, codomain=None):
         table = {}
@@ -44,6 +45,7 @@ class Morphism:
         self.images = table
         self.domain = frozenset(table)
         self.letters = tuple(sorted(table))
+        self._facts = None
         used = frozenset(c for img in table.values() for c in img)
         if codomain is None:
             self.codomain = used
@@ -53,6 +55,13 @@ class Morphism:
             if extra:
                 raise LetterDomainError(
                     f"images use letters outside codomain: {sorted(extra)}")
+
+    @property
+    def facts(self):
+        """The MorphismFacts of this instance, made on first read."""
+        if self._facts is None:
+            self._facts = MorphismFacts(self)
+        return self._facts
 
     def __call__(self, word):
         out = []
@@ -93,6 +102,8 @@ class Morphism:
         missing = keep - self.domain
         if missing:
             raise LetterDomainError(f"cannot restrict to unknown letters {sorted(missing)}")
+        if keep == self.domain:
+            return self  # the same instance keeps its facts
         return Morphism({a: self.images[a] for a in keep})
 
     def pretty(self):
@@ -138,15 +149,14 @@ def power(sigma, n, cap=DEFAULT_COMPOSE_CAP):
         raise PreconditionError("power: not an endomorphism")
     if n < 0:
         raise PreconditionError("power: negative exponent")
-    result = identity(sorted(sigma.domain))
-    base = sigma
+    result, base = None, sigma  # so sigma^1 is sigma, facts included
     while n:
         if n & 1:
-            result = compose(base, result, cap=cap)
+            result = base if result is None else compose(base, result, cap=cap)
         n >>= 1
         if n:
             base = compose(base, base, cap=cap)
-    return result
+    return identity(sorted(sigma.domain)) if result is None else result
 
 
 def is_prolongable(sigma, a):

@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 
 from conftest import m
+from hd0l import matrices
 from hd0l.factors import FactorEngine
-from hd0l.hdol import class_limits, stabilized_power_exponent
+from hd0l.hdol import class_limits, decide_hd0l, stabilized_power_exponent
 from hd0l.words import HD0LSystem, expand_fixed_point, identity
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -49,3 +50,20 @@ def test_counter_signatures_and_results():
     assert len(class_limits(system)) >= 1
     assert len(system.term(3)) == 16
     assert len(expand_fixed_point(sigma, "a", 5)) == 5
+
+
+def test_analysis_reads_the_names_the_tracer_rebinds(monkeypatch):
+    """The tracer counts the decomposition and the letter-set orbit by
+    rebinding their names in hd0l.matrices; a caller that captured the
+    functions at import time would leave both counts at 0."""
+    calls = []
+    for name in ("component_decomposition", "letterset_orbit"):
+        def counted(*args, real=getattr(matrices, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(matrices, name, counted)
+
+    sigma = m({"a": "ab", "b": "a"})
+    system = HD0LSystem(("a", "b"), ("a", "b"), sigma, identity("ab"), ("a",))
+    decide_hd0l(system)
+    assert set(calls) == {"component_decomposition", "letterset_orbit"}

@@ -1,9 +1,12 @@
 """Top-level decision procedure: length trichotomy, first letters, bounded
 tables, class limits, and the full periodicity verdict."""
 
+from collections import Counter
+
 import pytest
 
 from conftest import m, random_endomorphism, seeded
+from hd0l import matrices
 from hd0l.errors import PreconditionError, ResourceLimitError
 from hd0l.hdol import (
     BOUNDED,
@@ -451,6 +454,44 @@ def test_decide_deterministic():
     ]
     for system in systems:
         assert decide_hd0l(system) == decide_hd0l(system)
+
+
+def test_decide_analyses_each_morphism_instance_once(monkeypatch):
+    # c0 -> c1 -> ... -> c15 -> c0 c0 with every letter coded to 0: 16
+    # couples, each with its own class limits and normalization
+    letters = [f"c{i}" for i in range(16)]
+    images = {a: (b,) for a, b in zip(letters, letters[1:])}
+    images[letters[-1]] = (letters[0], letters[0])
+    sigma = Morphism(images)
+    phi = Morphism({a: ("0",) for a in letters})
+    # keep every matrix and morphism alive so no id is reused
+    source, decomposed, walked = {}, [], []
+    incidence = matrices.incidence_matrix
+    decompose = matrices.component_decomposition
+    orbit = matrices.letterset_orbit
+
+    def counted_incidence(sigma, letters=None):
+        mat = incidence(sigma, letters)
+        source[id(mat)] = (mat, sigma)
+        return mat
+
+    def counted_decomposition(mat):
+        decomposed.append(source[id(mat)][1])
+        return decompose(mat)
+
+    def counted_orbit(sigma, *args):
+        walked.append(sigma)
+        return orbit(sigma, *args)
+
+    monkeypatch.setattr(matrices, "incidence_matrix", counted_incidence)
+    monkeypatch.setattr(matrices, "component_decomposition",
+                        counted_decomposition)
+    monkeypatch.setattr(matrices, "letterset_orbit", counted_orbit)
+    out = decide_hd0l(hd0l(sigma, phi, [letters[0]]))
+    assert out.periodic and out.up == UltimatelyPeriodicWord((), ("0",))
+    for calls in (decomposed, walked):
+        assert calls
+        assert max(Counter(map(id, calls)).values()) == 1
 
 
 # ------------------------------------------------------- canonical equality

@@ -1,5 +1,7 @@
 """Incidence matrices, primitivity, decomposition, growth classification."""
 
+import weakref
+
 import pytest
 
 from conftest import m, random_endomorphism, seeded
@@ -17,7 +19,7 @@ from hd0l.matrices import (
     satisfies_p2_at,
     stabilizing_exponent,
 )
-from hd0l.words import compose, power
+from hd0l.words import Morphism, compose, power
 
 
 def naive_is_primitive(rows):
@@ -231,6 +233,36 @@ def test_stabilizing_exponent_steps_and_cap():
     assert stabilizing_exponent(orbit, step=3) == 6
     with pytest.raises(ResourceLimitError, match="up to 5"):
         stabilizing_exponent(orbit, step=3, cap=5)
+
+
+def test_facts_match_a_fresh_analysis_random():
+    rng = seeded(47)
+    for _ in range(120):
+        letters = "abcde"[: rng.randint(1, 5)]
+        sigma = random_endomorphism(rng, letters)
+        facts = sigma.facts
+        dec = component_decomposition(incidence_matrix(Morphism(sigma.images)))
+        orbit = letterset_orbit(Morphism(sigma.images))
+        assert facts.decomposition == dec and facts.orbit == orbit, sigma
+        assert facts.p2 == satisfies_p2_at(orbit, 1)
+        assert facts.stable_exponent() == stabilizing_exponent(orbit, dec.p)
+        cap = rng.randint(1, 6)
+        try:
+            want = stabilizing_exponent(orbit, dec.p, cap)
+        except ResourceLimitError:
+            with pytest.raises(ResourceLimitError):
+                facts.stable_exponent(cap)
+        else:
+            assert facts.stable_exponent(cap) == want
+        assert sigma.facts is facts
+        assert facts.decomposition is facts.decomposition
+        assert facts.orbit is facts.orbit
+        assert power(sigma, 1) is sigma
+        assert sigma.restrict(sigma.domain) is sigma
+        # no reference cycle keeps an analysed morphism alive
+        ref = weakref.ref(sigma)
+        del sigma
+        assert ref() is None
 
 
 def test_mortal_letters():

@@ -19,7 +19,6 @@ from hd0l.normalization import (
     phi_dead_letters,
     reachable_letters,
     recurrent_letter_set,
-    satisfies_p2,
     substitutive_representation,
     to_coding,
 )
@@ -52,7 +51,7 @@ def test_normalize_p1_p2_pins_alphabet_multiple():
     assert e == 6
     se = power(sigma, e)
     assert se.image("b") == ("b",)
-    assert satisfies_p2(se)
+    assert se.facts.p2
 
 
 def test_normalize_p1_p2_escalates():
@@ -61,7 +60,7 @@ def test_normalize_p1_p2_escalates():
     assert e == 6  # p * |A| = 3 fails stability and must be doubled
     orbit = letterset_orbit(sigma)
     assert not satisfies_p2_at(orbit, 3) and satisfies_p2_at(orbit, 6)
-    assert satisfies_p2(power(sigma, e))
+    assert power(sigma, e).facts.p2
 
 
 def test_reachable_letters():
