@@ -24,7 +24,7 @@ from .errors import (
     ResourceLimitError,
     SystemValidationError,
 )
-from .hdol import class_limits, decide_hd0l, phi_length_class, stabilized_power_exponent
+from .hdol import class_limits, decide_hd0l, phi_length_classes, stabilized_power_exponent
 from .normalization import restrict_to_reachable, substitutive_representation
 from .periodicity import Limits
 from .words import HD0LSystem, Morphism, is_prolongable, power, word_str
@@ -207,12 +207,12 @@ def _cmd_analyze(args):
         print(f"block {i}: {blk.kind} ({role}) letters "
               + ", ".join(blk.letters))
     print(f"image letter sets stabilize at power {stabilized_power_exponent(sigma)}")
+    try:
+        classes = phi_length_classes(sigma, phi)
+    except PreconditionError:
+        classes = dict.fromkeys(sigma.letters, "depends on the index residue")
     for a in sigma.letters:
-        try:
-            cls = phi_length_class(sigma, phi, a)
-        except PreconditionError:
-            cls = "depends on the index residue"
-        print(f"letter {a!r}: {cls}")
+        print(f"letter {a!r}: {classes[a]}")
     return EXIT_YES
 
 

@@ -1,6 +1,12 @@
 """Factor (subword) machinery for fixed points of non-erasing substitutions,
 plus the period certification check used by every positive verdict.
 
+That check rests on one criterion: for a primitive word v, a sequence y is
+ultimately periodic with a period conjugate to v iff every recurrent
+(|v|+1)-window w of y has w[0] == w[|v|] and w[:|v|] a rotation of v.  If:
+past the recurrence index every window is recurrent, so y[i] == y[i+|v|]
+there.  Only if: the recurrent windows are the windows of the periodic tail.
+
 Words are interned into one-char-per-letter Python strings so window slicing
 and image application run at C speed; public results decode back to tuples.
 """
@@ -35,6 +41,7 @@ class FactorEngine:
             self._enc[a]: "".join(self._enc[c] for c in tau.image(a))
             for a in tau.letters}
         self._by_ord = {ord(c): img for c, img in self.table.items()}
+        self._longest = tau.max_image_len()
 
     def encode(self, word):
         return "".join(self._enc[a] for a in word)
@@ -52,16 +59,15 @@ class FactorEngine:
         then on the iterates grow by the chunks c, tau(c), tau^2(c), ..., as
         in words.fixed_point_chunks, and as tau does not erase, the first
         n - len(s) letters of a chunk are enough.  The word held may not
-        pass max_word."""
+        pass max_word, which is checked from the image lengths before an
+        image is built."""
         s = self.encode(word)
         for _ in range(10_000):
             if len(s) >= n:
                 return s[:n]
-            nxt = self.apply(s)
+            nxt = self._apply_within(s, 0, max_word)
             if nxt == s:
                 raise BoundedImageError("expand_until: word is a finite fixed word")
-            if len(nxt) > max_word:
-                raise ResourceLimitError("expand_until: word cap exceeded")
             if nxt.startswith(s):
                 break
             s = nxt
@@ -69,11 +75,17 @@ class FactorEngine:
             raise ResourceLimitError("expand_until: step cap exceeded")
         chunk, s = nxt[len(s):], nxt
         while len(s) < n:
-            chunk = self.apply(chunk[:n - len(s)])
+            chunk = self._apply_within(chunk[:n - len(s)], len(s), max_word)
             s += chunk
-            if len(s) > max_word:
-                raise ResourceLimitError("expand_until: word cap exceeded")
         return s[:n]
+
+    def _apply_within(self, s, held, max_word):
+        # the image lengths are summed only when the longest one could
+        # take held + |image| past max_word
+        if (held + self._longest * len(s) > max_word
+                and held + sum(map(len, map(self.table.__getitem__, s))) > max_word):
+            raise ResourceLimitError("expand_until: word cap exceeded")
+        return self.apply(s)
 
     def factors(self, seed_word, n, max_factors=DEFAULT_MAX_FACTORS):
         """All length-n factors of the limit language generated from seed_word:
@@ -198,60 +210,30 @@ def lang_eq_periodic(u, v):
         ru[i:] + ru[:i] == rv for i in range(len(ru)))
 
 
+def period_fits(windows, v):
+    """Whether every (|v|+1)-window w has w[0] == w[|v|] and w[:|v|] a
+    rotation of v: read over the windows of a sequence from some position
+    on, it says the sequence has period |v| there, with a conjugate of v."""
+    q = len(v)
+    rotations = {v[i:] + v[:i] for i in range(q)}
+    return all(w[0] == w[q] and w[:q] in rotations for w in windows)
+
+
 def finalcheck(rep, v, max_factors=DEFAULT_MAX_FACTORS):
     """Decide whether y = kappa(core fixed point) is ultimately periodic with
     a period conjugate to v; return the canonical form, or None.
 
-    Phase semantics: a recurrent 2|v|-window B of y matches the phases f with
-    (vvv)[f:f+2|v|] == kappa(B); a primitive v leaves at most one. Windows
-    2|v| apart must share a phase for the junction to read as a whole copy of
-    v or nothing, and recurrent 4|v|-windows enumerate exactly those adjacent
-    pairs, so consistency is a union-find over equalities plus a domain
-    intersection per group. A consistent assignment makes everything past the
-    recurrence index literally periodic; the cut scan finds the onset."""
+    The module's criterion for the primitive root v, q = |v|: as kappa is a
+    coding, the recurrent (q+1)-windows of y are the kappa-images of the
+    recurrent (q+1)-blocks of the fixed point, and the onset is one past
+    the last i below their index with y[i] != y[i+q]."""
     v = primitive_root(as_word(v))
     q = len(v)
     engine = FactorEngine(rep.tau)
-    seed = (rep.seed,)
-    f2_all, f2_rec, i2 = _recurrent_interned(
-        engine, seed, 2 * q, max_factors, DEFAULT_MAX_WORD)
-    f4_all, f4_rec, i4 = _recurrent_interned(
-        engine, seed, 4 * q, max_factors, DEFAULT_MAX_WORD)
-    vvv = v * 3
-
-    dom = {}
-    for b in f2_rec:
-        img = rep.kappa(engine.decode(b))
-        dom[b] = {f for f in range(q) if vvv[f:f + 2 * q] == img}
-        if not dom[b]:
-            return None
-
-    parent = {b: b for b in f2_rec}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for w in f4_rec:
-        left, right = w[:2 * q], w[2 * q:]
-        if left not in parent or right not in parent:
-            raise InternalCheckError("half of a recurrent window not recurrent")
-        parent[find(left)] = find(right)
-
-    groups = {}
-    for b in f2_rec:
-        groups.setdefault(find(b), []).append(b)
-    for members in groups.values():
-        if not set.intersection(*(dom[b] for b in members)):
-            return None
-
-    cut_bound = max(i2, i4)
-    y = rep.expand_image(cut_bound + 8 * q)
-    for c in range(cut_bound + 1):
-        tail = y[c:]
-        period = tail[:q]
-        if all(tail[i] == period[i % q] for i in range(len(tail))):
-            return canonicalize_up(y[:c], period)
-    raise InternalCheckError("consistent phases but no periodic cut found")
+    _, recurrent, index = _recurrent_interned(
+        engine, (rep.seed,), q + 1, max_factors, DEFAULT_MAX_WORD)
+    if not period_fits((rep.kappa(engine.decode(b)) for b in recurrent), v):
+        return None
+    y = rep.expand_image(index + q)
+    c = next((i + 1 for i in reversed(range(index)) if y[i] != y[i + q]), 0)
+    return canonicalize_up(y[:c], y[c:c + q])

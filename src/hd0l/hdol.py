@@ -88,7 +88,8 @@ def stabilized_power_exponent(sigma, cap=None):
     return sigma.facts.stable_exponent(cap)
 
 
-def _length_classes(sigma, phi):
+def phi_length_classes(sigma, phi):
+    """The phi_length_class of every letter, as one table."""
     e = stabilized_power_exponent(sigma)
     sig_e = power(sigma, e)
     merged = _couple_classes(sig_e, phi)
@@ -108,7 +109,7 @@ def phi_length_class(sigma, phi, c):
     they vanish, BOUNDED when they stay positive and bounded, TO_INFINITY
     when they diverge.  Letters whose behaviour depends on the residue of n
     have no single class and are rejected."""
-    classes = _length_classes(sigma, phi)
+    classes = phi_length_classes(sigma, phi)
     if c not in classes:
         raise PreconditionError(f"phi_length_class: {c!r} not in the domain")
     return classes[c]
@@ -146,7 +147,7 @@ def first_letter_orbit(sigma, a, phi=None):
     cycle = tuple(seq[j0:])
     unbounded = None
     if phi is not None:
-        classes = _length_classes(sigma, phi)
+        classes = phi_length_classes(sigma, phi)
         unbounded = frozenset(c for c in cycle if classes[c] == TO_INFINITY)
     return FirstLetterOrbit(j0, len(cycle), cycle, unbounded)
 

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InternalCheckError, PreconditionError, ResourceLimitError
-from .factors import FactorEngine, finalcheck, lang_eq_periodic
+from .factors import FactorEngine, finalcheck, lang_eq_periodic, period_fits
 from .matrices import (
     NULL,
     PRIMITIVE,
@@ -158,8 +158,9 @@ def primitive_periodicity(tau_i, a_i, kappa, limits=None, exponent=1):
     monotone in n (a witness forces a pure period <= n, and count(n) equals
     the period length from there on), so probing geometrically and then the
     single bound N is exhaustive up to N. Periodic verdicts extract the
-    period from a prefix and re-certify it; the aperiodic verdict is
-    certified only when N honors the formula bound."""
+    period v from a prefix and certify it with the window test of
+    finalcheck on the (|v|+1)-factors; the aperiodic verdict is certified
+    only when N honors the formula bound."""
     limits = limits or DEFAULT_LIMITS
     if not is_primitive(incidence_matrix(tau_i).support()):
         raise PreconditionError("primitive_periodicity: not primitive")
@@ -191,13 +192,13 @@ def primitive_periodicity(tau_i, a_i, kappa, limits=None, exponent=1):
     tau_pow = tau_i if exponent == 1 else power(tau_i, exponent)
     prefix = kappa(expand_fixed_point(tau_pow, a_i, 3 * witness))
     v = prefix[:minimal_period(prefix)]
-    rep = SubstitutiveRepresentation(
-        tau_pow, kappa.restrict(tau_pow.domain), a_i, frozenset({P4, CODING}))
-    up = finalcheck(rep, v, limits.max_factors)
-    if up is None or up.preperiod:
+    # every factor of a primitive component recurs, so the coded sequence
+    # is v^omega iff all its (|v|+1)-factors fit v
+    facs = eng.factors((a_i,), len(v) + 1, limits.max_factors)
+    if not period_fits((kappa(eng.decode(w)) for w in facs), v):
         raise InternalCheckError(
             "primitive component: extracted period failed certification")
-    return PrimitiveVerdict(True, up.period, True, bound, formula)
+    return PrimitiveVerdict(True, v, True, bound, formula)
 
 
 def _confirm_prefix(rep, up):

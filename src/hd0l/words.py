@@ -165,13 +165,15 @@ def is_prolongable(sigma, a):
     return len(img) >= 2 and img[0] == a
 
 
-def fixed_point_chunks(sigma, a):
+def fixed_point_chunks(sigma, a, n=None):
     """The fixed point of sigma at the prolongable letter a, chunk by chunk.
 
     With sigma(a) = a u, sigma^(k+1)(a) = sigma^k(a) sigma^k(u), so the fixed
     point reads a, u, sigma(u), sigma^2(u), ...; every chunk is the image of
     the one before it.  An empty chunk means the fixed point is finite, which
-    raises BoundedImageError.
+    raises BoundedImageError.  With n the chunks stop once they hold n
+    letters, and each image is built only until they do: the last chunk is
+    a prefix of the image, exact when sigma erases.
     """
     if not sigma.is_endomorphism:
         raise PreconditionError("fixed_point_chunks: not an endomorphism")
@@ -182,14 +184,17 @@ def fixed_point_chunks(sigma, a):
     while chunk:
         yield chunk
         length += len(chunk)
-        chunk = sigma(chunk)
+        if n is not None and length >= n:
+            return
+        images = chain.from_iterable(map(sigma.images.__getitem__, chunk))
+        chunk = tuple(islice(images, None if n is None else n - length))
     raise BoundedImageError(f"fixed point at {a!r} is finite ({length} letters)")
 
 
 def expand_fixed_point(sigma, a, n):
     """First n letters of the fixed point of sigma at prolongable letter a;
     a finite fixed point shorter than n raises BoundedImageError."""
-    return tuple(islice(chain.from_iterable(fixed_point_chunks(sigma, a)), n))
+    return tuple(islice(chain.from_iterable(fixed_point_chunks(sigma, a, n)), n))
 
 
 def eventual_cycle(start, step):

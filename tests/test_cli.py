@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -257,6 +260,51 @@ def test_cli_decide_inconclusive_on_unstable_cap(tmp_path, capsys):
     path = write_doc(tmp_path, "rot.json", doc)
     assert run_cli(["decide", path]) == EXIT_INCONCLUSIVE
     assert "inconclusive" in capsys.readouterr().out
+
+
+# Systems whose decide once built an image far longer than the letters it
+# needed (an expansion's last chunk, a whole next iterate) and died with a
+# MemoryError; each now ends within 1.5 GB of address space.
+MEMORY_CASES = {
+    "last-chunk": ({"a": "b", "b": "cbc", "c": "ab"},
+                   {"a": "", "b": "", "c": "0"}, "c", "inconclusive"),
+    "finalcheck-expansion": ({"a": "bcc", "b": "c", "c": "da", "d": "ca"},
+                             {"a": "0", "b": "", "c": "", "d": ""}, "c",
+                             "yes"),
+    "window-sample": ({"a": "c", "b": "abc", "c": "bac"},
+                      {"a": "1", "b": "01", "c": "0"}, "b", "inconclusive"),
+}
+
+LIMITED_DECIDE = """
+import resource, sys
+cap = 1_500_000_000
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+if hard != resource.RLIM_INFINITY:
+    cap = min(cap, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+from hd0l.cli import run_cli
+sys.exit(run_cli(["decide", "--json", sys.argv[1]]))
+"""
+
+
+@pytest.mark.parametrize("case", sorted(MEMORY_CASES))
+def test_cli_decide_within_memory_limit(tmp_path, case):
+    sigma, phi, w, answer = MEMORY_CASES[case]
+    path = write_doc(tmp_path, "sys.json", make_doc(sigma, phi, w, b="01"))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", LIMITED_DECIDE, path],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert "MemoryError" not in proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["answer"] == answer
+    if answer == "yes":
+        assert proc.returncode == EXIT_YES
+        assert doc["certified"] and doc["v"] == ["0"]
+    else:
+        assert proc.returncode == EXIT_INCONCLUSIVE
+        assert doc["diagnostic"] == "expand_until: word cap exceeded"
 
 
 def test_cli_expand(tmp_path, capsys):

@@ -5,15 +5,22 @@ import pytest
 from conftest import m, random_endomorphism, seeded
 from hd0l.errors import BoundedImageError, PreconditionError, ResourceLimitError
 from hd0l.factors import FactorEngine, finalcheck, lang_eq_periodic
-from hd0l.normalization import recurrent_letter_set, substitutive_representation
+from hd0l.normalization import (
+    SubstitutiveRepresentation,
+    recurrent_letter_set,
+    substitutive_representation,
+)
 from helpers import (
     block_substitution,
+    brute_force_up_check,
     factors_of_length,
     periodic_factors,
     recurrent_factors,
 )
 from hd0l.words import (
+    Morphism,
     UltimatelyPeriodicWord,
+    canonicalize_up,
     expand_fixed_point,
     identity,
     is_prolongable,
@@ -252,3 +259,41 @@ def test_finalcheck_with_coding():
 def test_finalcheck_longer_preperiod():
     rep = _rep({"b": "bcc", "c": "c"}, seed="b")
     assert finalcheck(rep, ("c",)) == UltimatelyPeriodicWord(("b",), ("c",))
+
+
+def test_finalcheck_agrees_with_brute_force_on_random_codings():
+    # random prolongable substitutions, bounded letters and collapsing
+    # codings included; the candidates are the period the brute force finds
+    # on a long prefix, a rotation of it, its square and a wrong word
+    rng = seeded(2024)
+    length, max_pre, max_per = 1500, 60, 12
+    accepted = rejected = 0
+    for _ in range(150):
+        letters = "ab" if rng.random() < 0.5 else "abc"
+        images = {a: "".join(rng.choice(letters)
+                             for _ in range(rng.randint(1, 3)))
+                  for a in letters}
+        images["a"] = "a" + images["a"][:2]
+        tau = m(images)
+        kappa = Morphism({a: rng.choice("01") for a in letters})
+        rep = SubstitutiveRepresentation(tau, kappa, "a", frozenset())
+        y = rep.expand_image(length)
+        found = brute_force_up_check(y, max_pre, max_per)
+        if found is None:
+            candidates = [("0",), ("0", "1")]
+        else:
+            v = found[1]
+            wrong = v[:-1] + ({"0": "1", "1": "0"}[v[-1]],)
+            candidates = [v, v[1:] + v[:1], v + v, wrong]
+        for cand in candidates:
+            up = finalcheck(rep, cand)
+            agrees = found is not None and lang_eq_periodic(found[1], cand)
+            if up is not None:
+                assert up.prefix(length) == y
+                if len(up.preperiod) <= max_pre and len(up.period) <= max_per:
+                    assert agrees
+            if agrees:
+                assert up == canonicalize_up(*found)
+            accepted += up is not None
+            rejected += up is None
+    assert accepted >= 100 and rejected >= 100
