@@ -264,8 +264,9 @@ def _build_parser():
     d = sub.add_parser("decide", help="decide ultimate periodicity")
     d.add_argument("file", help="JSON system document")
     d.add_argument("--primitive-bound", type=int, default=None, metavar="N",
-                   help="cap the aperiodicity window scan (verdicts may "
-                        "come back uncertified)")
+                   help="largest least period the primitive-component "
+                        "oracle looks for (verdicts may come back "
+                        "uncertified)")
     d.add_argument("--json", action="store_true",
                    help="print the verdict as JSON")
     d.add_argument("--trace", action="store_true",

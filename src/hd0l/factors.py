@@ -3,9 +3,11 @@ plus the period certification check used by every positive verdict.
 
 That check rests on one criterion: for a primitive word v, a sequence y is
 ultimately periodic with a period conjugate to v iff every recurrent
-(|v|+1)-window w of y has w[0] == w[|v|] and w[:|v|] a rotation of v.  If:
-past the recurrence index every window is recurrent, so y[i] == y[i+|v|]
-there.  Only if: the recurrent windows are the windows of the periodic tail.
+|v|-window of y is a rotation of v.  If: past the recurrence index every
+window is recurrent, and two consecutive windows y[i:i+|v|] and
+y[i+1:i+1+|v|] that are both rotations of v hold the same letter counts,
+so y[i] == y[i+|v|] there.  Only if: the recurrent windows are the windows
+of the periodic tail.
 
 Words are interned into one-char-per-letter Python strings so window slicing
 and image application run at C speed; public results decode back to tuples.
@@ -108,36 +110,33 @@ class FactorEngine:
                     queue.append(win)
         return frozenset(found)
 
+    def coding_table(self, kappa):
+        """str.translate table taking each interned letter to one char that
+        stands for its kappa-image, so coded words slice and compare at C
+        speed.  kappa must have single-letter images."""
+        table = {}
+        codes = {}
+        for a in self.tau.letters:
+            img = kappa.image(a)
+            if len(img) != 1:
+                raise PreconditionError("coding table: kappa not a coding")
+            table[ord(self._enc[a])] = codes.setdefault(
+                img[0], 0x8000 + len(codes))
+        return table
+
     def coded_window_floor(self, kappa, seed_word, n, sample_len,
                            max_word=DEFAULT_MAX_WORD):
         """Number of distinct kappa-coded n-windows in an expanded sample of
         the limit word: a sound lower bound on the coded factor count, since
         the sample can only miss factors (hash collisions only merge windows,
-        never split them). kappa must have single-letter images."""
+        never split them).  The decision procedures do not call it; it stays,
+        with this signature, because the benchmark's traced run wraps it by
+        name."""
         if n < 1:
             raise PreconditionError("coded_window_floor: n must be positive")
         s = self.expand_until(seed_word, max(n, sample_len), max_word)
-        table = {}
-        out_codes = {}
-        for a in self.tau.letters:
-            img = kappa.image(a)
-            if len(img) != 1:
-                raise PreconditionError("coded_window_floor: kappa not a coding")
-            table[ord(self._enc[a])] = out_codes.setdefault(
-                img[0], 0x8000 + len(out_codes))
-        coded = s.translate(table)
-        mod = (1 << 61) - 1
-        base = 1_000_003
-        shift = pow(base, n, mod)
-        seen = set()
-        h = 0
-        for i, code in enumerate(coded):
-            h = (h * base + ord(code)) % mod
-            if i >= n:
-                h = (h - ord(coded[i - n]) * shift) % mod
-            if i >= n - 1:
-                seen.add(h)
-        return len(seen)
+        coded = s.translate(self.coding_table(kappa))
+        return len({hash(coded[i:i + n]) for i in range(len(coded) - n + 1)})
 
 
 def _windows(s, n):
@@ -211,12 +210,11 @@ def lang_eq_periodic(u, v):
 
 
 def period_fits(windows, v):
-    """Whether every (|v|+1)-window w has w[0] == w[|v|] and w[:|v|] a
-    rotation of v: read over the windows of a sequence from some position
-    on, it says the sequence has period |v| there, with a conjugate of v."""
-    q = len(v)
-    rotations = {v[i:] + v[:i] for i in range(q)}
-    return all(w[0] == w[q] and w[:q] in rotations for w in windows)
+    """Whether every |v|-window is a rotation of v: read over the windows of
+    a sequence from some position on, it says the sequence has period |v|
+    there, with a conjugate of v (see the module docstring)."""
+    rotations = {v[i:] + v[:i] for i in range(len(v))}
+    return all(w in rotations for w in windows)
 
 
 def finalcheck(rep, v, max_factors=DEFAULT_MAX_FACTORS):
@@ -224,14 +222,14 @@ def finalcheck(rep, v, max_factors=DEFAULT_MAX_FACTORS):
     a period conjugate to v; return the canonical form, or None.
 
     The module's criterion for the primitive root v, q = |v|: as kappa is a
-    coding, the recurrent (q+1)-windows of y are the kappa-images of the
-    recurrent (q+1)-blocks of the fixed point, and the onset is one past
-    the last i below their index with y[i] != y[i+q]."""
+    coding, the recurrent q-windows of y are the kappa-images of the
+    recurrent q-blocks of the fixed point, and the onset is one past the
+    last i below their index with y[i] != y[i+q]."""
     v = primitive_root(as_word(v))
     q = len(v)
     engine = FactorEngine(rep.tau)
     _, recurrent, index = _recurrent_interned(
-        engine, (rep.seed,), q + 1, max_factors, DEFAULT_MAX_WORD)
+        engine, (rep.seed,), q, max_factors, DEFAULT_MAX_WORD)
     if not period_fits((rep.kappa(engine.decode(b)) for b in recurrent), v):
         return None
     y = rep.expand_image(index + q)

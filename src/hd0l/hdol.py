@@ -452,6 +452,11 @@ def decide_hd0l(system, limits=None):
     trace = []
     seed = tuple(system.seed)
     sigma, phi, _ = restrict_to_reachable(system.sigma, system.phi, seed)
+    # with no growing seed letter, couple 0 below answers the same at its
+    # first check, so the split and its stabilizing power are not needed
+    if classify_letters(sigma, phi).growing.isdisjoint(seed):
+        trace.append("every seed letter keeps bounded image lengths")
+        return _no(BOUNDED_IMAGE, trace)
     # one extra copy of the seed stands in for the infinite repetition; any
     # letter pattern it adds is already driven by the first copy
     w2 = seed + seed

@@ -19,9 +19,11 @@ from .errors import (
     BoundedImageError,
     InternalCheckError,
     PreconditionError,
+    ResourceLimitError,
 )
 from .matrices import image_lengths
 from .words import (
+    DEFAULT_COMPOSE_CAP,
     Morphism,
     compose,
     expand_fixed_point,
@@ -182,31 +184,33 @@ def to_coding(sigma, phi, a):
     if not is_prolongable(sigma, a):
         raise PreconditionError("to_coding: seed not prolongable")
 
-    def slot(b, i):
-        return f"({b},{i})"
-
+    if sum(len(phi.image(c)) for b in sigma.letters
+           for c in sigma.image(b)) > DEFAULT_COMPOSE_CAP:
+        raise ResourceLimitError(
+            f"to_coding: slot images exceed {DEFAULT_COMPOSE_CAP} letters")
+    # one name per slot, shared by every image it occurs in
+    slots = {b: tuple(f"({b},{i})" for i in range(len(phi.image(b))))
+             for b in sigma.letters}
     tau_images = {}
     kappa_images = {}
     for b in sigma.letters:
-        blocks = [slot(c, i) for c in sigma.image(b)
-                  for i in range(len(phi.image(c)))]
-        n_slots = len(phi.image(b))
-        if len(blocks) < n_slots:
+        blocks = [x for c in sigma.image(b) for x in slots[c]]
+        own = slots[b]
+        if len(blocks) < len(own):
             raise PreconditionError(f"to_coding: image of {b!r} too short")
-        head = len(blocks) - n_slots + 1
-        tau_images[slot(b, 0)] = tuple(blocks[:head])
-        for i in range(1, n_slots):
-            tau_images[slot(b, i)] = (blocks[head + i - 1],)
-        for i in range(n_slots):
-            kappa_images[slot(b, i)] = (phi.image(b)[i],)
+        head = len(blocks) - len(own) + 1
+        tau_images[own[0]] = tuple(blocks[:head])
+        for i in range(1, len(own)):
+            tau_images[own[i]] = (blocks[head + i - 1],)
+        for name, x in zip(own, phi.image(b)):
+            kappa_images[name] = (x,)
     tau = Morphism(tau_images)
     kappa = Morphism(kappa_images, codomain=phi.codomain)
-    d0 = slot(a, 0)
+    d0 = slots[a][0]
     if not is_prolongable(tau, d0):
         raise InternalCheckError("to_coding: derived seed not prolongable")
     for b in sigma.letters:
-        slots = tuple(slot(b, i) for i in range(len(phi.image(b))))
-        if kappa(tau(slots)) != phi(sigma.image(b)):
+        if kappa(tau(slots[b])) != phi(sigma.image(b)):
             raise InternalCheckError("to_coding: slot identity broken")
     return tau, kappa, d0
 

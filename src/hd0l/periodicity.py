@@ -1,8 +1,9 @@
 """Ultimate periodicity decisions for coded fixed points of substitutions.
 
-Three layers: a bounded complexity oracle for primitive components, the
-all-growing case built on it, and the reduction of mixed alphabets through
-the bounded-runs / unbounded-runs dichotomy for the non-growing letters.
+Three layers: an exact test of primitive components for a period of at
+most N, the all-growing case built on it, and the reduction of mixed
+alphabets through the bounded-runs / unbounded-runs dichotomy for the
+non-growing letters.
 """
 
 import math
@@ -54,13 +55,13 @@ CASE_FLANK = 3
 class Limits:
     """Resource configuration for the decision procedures.
 
-    primitive_bound overrides the complexity-scan bound N of the primitive
-    oracle outright; otherwise N is the formula bound capped at
-    primitive_hard_cap (capping is recorded as an uncertified negative)."""
+    primitive_bound overrides the bound N of the primitive oracle (the
+    largest least period it looks for) outright; otherwise N is the formula
+    bound capped at primitive_hard_cap (capping is recorded as an
+    uncertified negative)."""
 
     primitive_bound: int | None = None
     primitive_hard_cap: int = 600
-    small_scan: int = 64
     pansiot_rounds: int = 16
     pansiot_word_cap: int = 500_000
     max_triples: int = 20_000
@@ -149,18 +150,20 @@ class PrimitiveVerdict:
 
 
 def primitive_periodicity(tau_i, a_i, kappa, limits=None, exponent=1):
-    """Decide pure periodicity of the coded fixed point of a primitive
-    substitution (of tau_i^exponent at a_i; factor sets do not depend on the
-    exponent, so closures run on tau_i itself).
+    """Decide whether the coded fixed point y = kappa(x) of a primitive
+    substitution (tau_i^exponent at a_i; factor sets do not depend on the
+    exponent, so everything runs on tau_i) has least period p <= N.  As y
+    is uniformly recurrent, that holds iff count(N) <= N (Morse-Hedlund).
 
-    The coded sequence is uniformly recurrent, so it is periodic iff its
-    factor count satisfies count(n) <= n for some n, and that condition is
-    monotone in n (a witness forces a pure period <= n, and count(n) equals
-    the period length from there on), so probing geometrically and then the
-    single bound N is exhaustive up to N. Periodic verdicts extract the
-    period v from a prefix and certify it with the window test of
-    finalcheck on the (|v|+1)-factors; the aperiodic verdict is certified
-    only when N honors the formula bound."""
+    Let q be the least period of a 2N-letter factor of y.  If p <= N, q = p
+    (by Fine-Wilf a period q < p of 2N letters makes gcd(q, p) a period of
+    a factor holding a whole period of y), every sample has period p and
+    every p-factor is a rotation of a sample's first p letters.  If every
+    q-factor is a rotation of one word, two consecutive q-windows hold the
+    same letter counts, so y has period q; so an aperiodic y, whose every
+    factor recurs, never passes.  The long sample only spares the closure
+    when it already breaks period q; it never decides a verdict.  A
+    negative is certified only when N honors the formula bound."""
     limits = limits or DEFAULT_LIMITS
     if not is_primitive(incidence_matrix(tau_i).support()):
         raise PreconditionError("primitive_periodicity: not primitive")
@@ -168,37 +171,20 @@ def primitive_periodicity(tau_i, a_i, kappa, limits=None, exponent=1):
     formula = len(letters) * (1 + tau_i.max_image_len()) ** (len(letters) + 2)
     bound = (limits.primitive_bound if limits.primitive_bound is not None
              else min(formula, limits.primitive_hard_cap))
-    certified = bound >= formula
+    if bound < 1:
+        raise PreconditionError("primitive_periodicity: bound must be positive")
     eng = FactorEngine(tau_i)
-    top = max(0, min(bound, limits.small_scan))
-    ns = [1 << i for i in range(top.bit_length())]  # powers of two up to top
-    if not ns or ns[-1] != bound:
-        ns.append(bound)
-    witness = None
-    for n in ns:
-        # a long sample gives a sound lower bound on the coded factor count
-        # at a fraction of the closure cost; the exact closure only runs for
-        # lengths the sample cannot rule out, which is where it is small
-        floor = eng.coded_window_floor(kappa, (a_i,), n, max(20_000, 80 * n))
-        if floor > n:
-            continue
-        facs = eng.factors((a_i,), n, limits.max_factors)
-        count = len({kappa(eng.decode(w)) for w in facs})
-        if count <= n:
-            witness = n
-            break
-    if witness is None:
-        return PrimitiveVerdict(False, None, certified, bound, formula)
-    tau_pow = tau_i if exponent == 1 else power(tau_i, exponent)
-    prefix = kappa(expand_fixed_point(tau_pow, a_i, 3 * witness))
-    v = prefix[:minimal_period(prefix)]
-    # every factor of a primitive component recurs, so the coded sequence
-    # is v^omega iff all its (|v|+1)-factors fit v
-    facs = eng.factors((a_i,), len(v) + 1, limits.max_factors)
-    if not period_fits((kappa(eng.decode(w)) for w in facs), v):
-        raise InternalCheckError(
-            "primitive component: extracted period failed certification")
-    return PrimitiveVerdict(True, v, True, bound, formula)
+    table = eng.coding_table(kappa)
+    q = minimal_period(eng.expand_until((a_i,), 2 * bound).translate(table))
+    if q <= bound:
+        s = eng.expand_until((a_i,), max(20_000, 80 * q)).translate(table)
+        if s[q:] == s[:-q] and period_fits(
+                (w.translate(table) for w in eng.factors(
+                    (a_i,), q, limits.max_factors)), s[:q]):
+            tau_pow = tau_i if exponent == 1 else power(tau_i, exponent)
+            v = kappa(expand_fixed_point(tau_pow, a_i, q))
+            return PrimitiveVerdict(True, v, True, bound, formula)
+    return PrimitiveVerdict(False, None, bound >= formula, bound, formula)
 
 
 def _confirm_prefix(rep, up):

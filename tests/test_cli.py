@@ -247,33 +247,77 @@ def test_cli_decide_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_decide_inconclusive_on_unstable_cap(tmp_path, capsys):
-    # a 300-cycle rotation needs a stabilized power past the default cap
-    n = 300
-    doc = json.dumps({
+def rotation_doc(n, growing):
+    """The n-cycle rotation c0 -> c1 -> ... -> c(n-1) -> c0 coded to one
+    letter; with growing, the last letter maps to c0 c0 instead."""
+    sigma = {f"c{i}": [f"c{(i + 1) % n}"] for i in range(n)}
+    if growing:
+        sigma[f"c{n - 1}"] = ["c0", "c0"]
+    return json.dumps({
         "A": [f"c{i}" for i in range(n)],
         "B": ["0"],
-        "sigma": {f"c{i}": [f"c{(i + 1) % n}"] for i in range(n)},
+        "sigma": sigma,
         "phi": {f"c{i}": ["0"] for i in range(n)},
         "w": ["c0"],
     })
-    path = write_doc(tmp_path, "rot.json", doc)
+
+
+def test_cli_decide_inconclusive_on_unstable_cap(tmp_path, capsys):
+    # the growing 300-cycle rotation needs a stabilized power past the
+    # default cap
+    path = write_doc(tmp_path, "rot.json", rotation_doc(300, growing=True))
     assert run_cli(["decide", path]) == EXIT_INCONCLUSIVE
     assert "inconclusive" in capsys.readouterr().out
 
 
+def test_cli_decide_bounded_rotation_needs_no_stabilized_power(tmp_path, capsys):
+    # no letter of the bounded 300-cycle rotation grows, which settles the
+    # answer before any stabilized power is looked for
+    path = write_doc(tmp_path, "rot.json", rotation_doc(300, growing=False))
+    assert run_cli(["decide", path, "--json", "--trace"]) == EXIT_NO
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["answer"], doc["certified"], doc["diagnostic"]) == (
+        "no", True, "BoundedImage")
+    assert doc["trace"] == ["every seed letter keeps bounded image lengths"]
+
+
 # Systems whose decide once built an image far longer than the letters it
-# needed (an expansion's last chunk, a whole next iterate) and died with a
-# MemoryError; each now ends within 1.5 GB of address space.
+# needed (an expansion's last chunk, a whole next iterate, the slot images
+# of a normalization) and died with a MemoryError; each now ends within
+# 1.5 GB of address space, with the answer and diagnostic given here.
 MEMORY_CASES = {
     "last-chunk": ({"a": "b", "b": "cbc", "c": "ab"},
-                   {"a": "", "b": "", "c": "0"}, "c", "inconclusive"),
+                   {"a": "", "b": "", "c": "0"}, "c", "inconclusive",
+                   "expand_until: word cap exceeded"),
     "finalcheck-expansion": ({"a": "bcc", "b": "c", "c": "da", "d": "ca"},
                              {"a": "0", "b": "", "c": "", "d": ""}, "c",
-                             "yes"),
+                             "yes", None),
     "window-sample": ({"a": "c", "b": "abc", "c": "bac"},
-                      {"a": "1", "b": "01", "c": "0"}, "b", "inconclusive"),
+                      {"a": "1", "b": "01", "c": "0"}, "b", "no",
+                      "AperiodicSubComponent"),
+    "slot-images-4": ({"a": "ba", "b": "ddc", "c": "d", "d": "bbb"},
+                      {"a": "1", "b": "00", "c": "00", "d": ""}, "a",
+                      "inconclusive",
+                      "to_coding: slot images exceed 4000000 letters"),
+    "slot-images-3": ({"a": "bbc", "b": "cc", "c": "aa"},
+                      {"a": "0", "b": "", "c": "1"}, "b", "inconclusive",
+                      "to_coding: slot images exceed 4000000 letters"),
 }
+
+
+def raw_limit_prefixes(sigma, phi, w, length, count):
+    """phi(sigma^n(w w))[:length] for the count iterates n that follow the
+    first one whose image covers length letters, by plain iteration; sigma
+    is non-erasing, so each iterate can be cut at length letters."""
+    x = w + w
+    while len("".join(phi[c] for c in x)) < length:
+        x = "".join(sigma[c] for c in x)[:length]
+    out = []
+    for _ in range(count):
+        x = "".join(sigma[c] for c in x)[:length]
+        out.append("".join(phi[c] for c in x)[:length])
+    return out
+
 
 LIMITED_DECIDE = """
 import resource, sys
@@ -289,7 +333,7 @@ sys.exit(run_cli(["decide", "--json", sys.argv[1]]))
 
 @pytest.mark.parametrize("case", sorted(MEMORY_CASES))
 def test_cli_decide_within_memory_limit(tmp_path, case):
-    sigma, phi, w, answer = MEMORY_CASES[case]
+    sigma, phi, w, answer, diagnostic = MEMORY_CASES[case]
     path = write_doc(tmp_path, "sys.json", make_doc(sigma, phi, w, b="01"))
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -302,9 +346,19 @@ def test_cli_decide_within_memory_limit(tmp_path, case):
     if answer == "yes":
         assert proc.returncode == EXIT_YES
         assert doc["certified"] and doc["v"] == ["0"]
-    else:
+        return
+    assert doc["diagnostic"] == diagnostic
+    if answer == "inconclusive":
         assert proc.returncode == EXIT_INCONCLUSIVE
-        assert doc["diagnostic"] == "expand_until: word cap exceeded"
+        return
+    # an uncertified no: the raw iterates fall into residue classes mod 3
+    # whose limits admit no u v^omega with |u|, |v| <= 200
+    assert proc.returncode == EXIT_NO
+    assert doc["certified"] is False
+    prefixes = raw_limit_prefixes(sigma, phi, w, 2000, 6)
+    assert prefixes[:3] == prefixes[3:]
+    for prefix in prefixes[:3]:
+        assert brute_force_up_check(prefix, 200, 200) is None
 
 
 def test_cli_expand(tmp_path, capsys):

@@ -3,14 +3,15 @@ primitive oracle, the growing case, and the non-growing reductions."""
 
 import pytest
 
-from conftest import m, seeded
+from conftest import m, random_endomorphism, seeded
 from hd0l.errors import (
     InternalCheckError,
     PreconditionError,
     ResourceLimitError,
 )
 from hd0l.errors import BoundedImageError
-from hd0l.matrices import classify_letters
+from hd0l.factors import FactorEngine
+from hd0l.matrices import classify_letters, incidence_matrix, is_primitive
 from hd0l.normalization import CODING, P4, substitutive_representation
 from hd0l.periodicity import (
     CASE_BOUNDED_BLOCKS,
@@ -34,8 +35,9 @@ from hd0l.words import (
     expand_fixed_point,
     identity,
     minimal_period,
+    power,
 )
-from helpers import flank_scan_every_occurrence
+from helpers import factors_of_length, flank_scan_every_occurrence
 
 FIB = m({"a": "ab", "b": "a"})
 TM = m({"a": "ab", "b": "ba"})
@@ -149,6 +151,78 @@ def test_primitive_oracle_bound_override_uncertified():
     assert not v.periodic
     assert not v.certified
     assert v.bound == 5
+
+
+def test_primitive_oracle_rejects_empty_bound():
+    with pytest.raises(PreconditionError):
+        primitive_periodicity(FIB, "a", ident(FIB),
+                              limits=Limits(primitive_bound=0))
+
+
+def _count_closures(monkeypatch):
+    lengths = []
+    real = FactorEngine.factors
+
+    def counted(self, seed_word, n, *args):
+        lengths.append(n)
+        return real(self, seed_word, n, *args)
+
+    monkeypatch.setattr(FactorEngine, "factors", counted)
+    return lengths
+
+
+def test_primitive_oracle_sample_refutes_without_closure(monkeypatch):
+    # the first 4 letters aaaa have period 1, a long sample does not
+    lengths = _count_closures(monkeypatch)
+    tau = m({"a": "aaaaab", "b": "ab"})
+    v = primitive_periodicity(tau, "a", ident(tau),
+                              limits=Limits(primitive_bound=2))
+    assert not v.periodic and not v.certified
+    assert lengths == []
+
+
+def test_primitive_oracle_closure_refutes(monkeypatch):
+    # the first 20,000 letters are all a: only the closure sees the b
+    lengths = _count_closures(monkeypatch)
+    tau = m({"a": "a" * 20_000 + "b", "b": "ab"})
+    v = primitive_periodicity(tau, "a", ident(tau),
+                              limits=Limits(primitive_bound=3))
+    assert not v.periodic and not v.certified
+    assert lengths == [1]
+
+
+def test_primitive_oracle_matches_exact_factor_count():
+    # periodic with least period <= N iff the coded factor count at N is
+    # at most N, which is then the least period
+    rng = seeded(0x0AC1)
+    seen = set()
+    cases = 0
+    while cases < 160:
+        letters = "abc"[:rng.randint(2, 3)]
+        tau = random_endomorphism(rng, letters, max_len=3, allow_empty=False)
+        if rng.random() < 0.3:
+            # one image u for every letter: the fixed point is u u u ...
+            u = "".join(rng.choice(letters) for _ in range(rng.randint(2, 5)))
+            tau = m({a: u for a in letters})
+        if not is_primitive(incidence_matrix(tau).support()):
+            continue
+        k, (sub,) = make_sub_substitutions(tau)
+        kappa = Morphism({a: rng.choice("012") for a in letters})
+        n = rng.choice([1, 2, 3, 4, 5, 7, 8, 13, 20, 40])
+        eng = FactorEngine(tau)
+        count = len({kappa(f) for f in factors_of_length(tau, sub.seed, n)})
+        assert eng.coded_window_floor(kappa, (sub.seed,), n, 300) <= count
+        v = primitive_periodicity(tau, sub.seed, kappa,
+                                  Limits(primitive_bound=n), exponent=k)
+        assert v.periodic == (count <= n), (tau, kappa, n)
+        assert v.certified == (v.periodic or n >= v.formula_bound)
+        if v.periodic:
+            assert len(v.period) == count
+            prefix = kappa(expand_fixed_point(power(tau, k), sub.seed, 400))
+            assert prefix == (v.period * (400 // count + 1))[:400]
+        seen.add(v.periodic)
+        cases += 1
+    assert seen == {True, False}
 
 
 # ------------------------------------------------------------- growing case
@@ -427,7 +501,7 @@ def _matches_up(prefix, pre, per):
 
 def test_random_systems_decisions_are_consistent():
     # the capped oracle bound keeps this fast; the consistency check below
-    # only needs periods up to 20, which a 64-deep scan cannot miss
+    # only needs periods up to 20, which the oracle at N = 64 cannot miss
     fast = Limits(primitive_hard_cap=64)
     rng = seeded(0xD011)
     decided = 0
