@@ -1,7 +1,10 @@
-"""Incidence matrices, primitivity, component decomposition, letter growth classes.
+"""The letter graph of an endomorphism: component decomposition, primitivity,
+image lengths, letter-set orbits and letter growth classes.
 
-Counting matrices keep exact (arbitrary precision) integer entries; reachability
-questions run on boolean support matrices stored as per-row bitmasks.
+Every routine reads the images and the letter sets letters(sigma^k(b)) of
+the letter-set orbit; no matrix is built.  The graph has an edge from b to
+every letter of sigma(b), and the graph of sigma^k an edge from b to every
+letter of letters(sigma^k(b)).
 """
 
 from dataclasses import dataclass
@@ -10,121 +13,6 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .errors import InternalCheckError, PreconditionError, ResourceLimitError
-
-
-@dataclass(frozen=True)
-class IncidenceMatrix:
-    """rows[i][j] = number of occurrences of letters[i] in the image of letters[j]."""
-
-    letters: tuple
-    rows: tuple
-
-    @property
-    def n(self):
-        return len(self.letters)
-
-    def entry(self, a, b):
-        return self.rows[self.letters.index(a)][self.letters.index(b)]
-
-    def matmul(self, other):
-        if self.letters != other.letters:
-            raise PreconditionError("matmul: letter orders differ")
-        n = self.n
-        bt = tuple(zip(*other.rows))
-        rows = tuple(
-            tuple(sum(ra[k] * cb[k] for k in range(n)) for cb in bt)
-            for ra in self.rows)
-        return IncidenceMatrix(self.letters, rows)
-
-    def pow(self, e):
-        return _binary_power(self, e, identity_matrix(self.letters))
-
-    def support(self):
-        masks = tuple(
-            sum(1 << j for j, v in enumerate(row) if v) for row in self.rows)
-        return SupportMatrix(self.letters, masks)
-
-
-def _binary_power(base, e, result):
-    """base^e by repeated squaring, result being the identity."""
-    if e < 0:
-        raise PreconditionError("pow: negative exponent")
-    while e:
-        if e & 1:
-            result = result.matmul(base)
-        e >>= 1
-        if e:
-            base = base.matmul(base)
-    return result
-
-
-def identity_matrix(letters):
-    n = len(letters)
-    rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    return IncidenceMatrix(tuple(letters), rows)
-
-
-def incidence_matrix(sigma, letters=None):
-    """Incidence matrix of an endomorphism over a fixed letter order."""
-    if letters is None:
-        letters = sigma.letters
-    letters = tuple(letters)
-    if not (sigma.domain <= set(letters) and sigma.codomain <= set(letters)):
-        raise PreconditionError("incidence_matrix: letters do not cover the morphism")
-    index = {a: i for i, a in enumerate(letters)}
-    n = len(letters)
-    cols = []
-    for b in letters:
-        col = [0] * n
-        for c in sigma.image(b):
-            col[index[c]] += 1
-        cols.append(col)
-    rows = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    return IncidenceMatrix(letters, rows)
-
-
-@dataclass(frozen=True)
-class SupportMatrix:
-    """Boolean matrix; masks[i] has bit j set iff entry (i, j) is non-zero."""
-
-    letters: tuple
-    masks: tuple
-
-    @property
-    def n(self):
-        return len(self.letters)
-
-    def matmul(self, other):
-        if self.letters != other.letters:
-            raise PreconditionError("matmul: letter orders differ")
-        out = []
-        for r in self.masks:
-            acc = 0
-            while r:
-                k = (r & -r).bit_length() - 1
-                acc |= other.masks[k]
-                r &= r - 1
-            out.append(acc)
-        return SupportMatrix(self.letters, tuple(out))
-
-    def pow(self, e):
-        one = SupportMatrix(self.letters, tuple(1 << i for i in range(self.n)))
-        return _binary_power(self, e, one)
-
-    def all_positive(self):
-        full = (1 << self.n) - 1
-        return all(m == full for m in self.masks)
-
-
-def is_primitive(support):
-    """Exact primitivity test: a single boolean power at the universal exponent
-    n^2 - 2n + 2 is all-positive iff the matrix is primitive."""
-    n = support.n
-    if n == 0:
-        raise PreconditionError("is_primitive: empty matrix")
-    if n == 1:
-        return bool(support.masks[0] & 1)
-    return support.pow(n * n - 2 * n + 2).all_positive()
 
 
 NULL, UNIT, PRIMITIVE = "null", "unit", "primitive"
@@ -139,8 +27,9 @@ class ComponentBlock:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Power p and ordered letter blocks making the p-th power block lower
-    triangular, every diagonal block null, unit, or primitive.
+    """Power p and ordered letter blocks such that the image under sigma^p of
+    a letter uses only letters of its own block or of later blocks, every
+    block null, unit, or primitive under sigma^p.
 
     Non-principal blocks (images escape the block) come first in dependency
     order, principal (closed) blocks last; q counts the non-principal ones.
@@ -150,12 +39,11 @@ class Decomposition:
     blocks: tuple
     q: int
 
-    @property
-    def letter_order(self):
-        return tuple(a for blk in self.blocks for a in blk.letters)
 
-    def block_index(self):
-        return {a: i for i, blk in enumerate(self.blocks) for a in blk.letters}
+def _edges(letters, sets):
+    """adj[j] = sorted indices of the letters of sets[j]."""
+    index = {a: i for i, a in enumerate(letters)}
+    return [sorted(map(index.__getitem__, s)) for s in sets]
 
 
 def _strong_components(n, adj):
@@ -207,18 +95,6 @@ def _strong_components(n, adj):
     return comps
 
 
-def _adjacency(support):
-    """adj[j] = indices i with letters[i] occurring in the image of letters[j]."""
-    n = support.n
-    cols = [[] for _ in range(n)]
-    for i, m in enumerate(support.masks):
-        while m:
-            j = (m & -m).bit_length() - 1
-            cols[j].append(i)
-            m &= m - 1
-    return [sorted(c) for c in cols]
-
-
 def _cyclicity(comp, adj):
     """Period of a strongly connected vertex set: gcd of level(u)+1-level(v)
     over internal edges, levels from a directed BFS inside the component."""
@@ -239,30 +115,49 @@ def _cyclicity(comp, adj):
     return g if g else 1
 
 
-def component_decomposition(matrix):
-    """Decompose an incidence matrix into p and ordered diagonal blocks.
+def is_primitive(sigma):
+    """Whether sigma is primitive: its letter graph is one strongly connected
+    component with at least one edge and cyclicity 1 (some power of sigma
+    then sends every letter to an image holding every letter)."""
+    if not sigma.letters:
+        raise PreconditionError("is_primitive: empty alphabet")
+    if not sigma.is_endomorphism:
+        raise PreconditionError("is_primitive: not an endomorphism")
+    letters = sigma.letters
+    adj = _edges(letters, (set(sigma.image(a)) for a in letters))
+    comps = _strong_components(len(letters), adj)
+    return len(comps) == 1 and any(adj) and _cyclicity(comps[0], adj) == 1
 
-    p is the lcm of the cyclicity indices of the strongly connected components;
-    the matrix of the p-th power is block lower triangular over the returned
-    letter order with every diagonal block null, unit, or primitive (verified).
-    The power is taken on the boolean support only: a singleton block is null
-    without a self-loop there, unit when its component of the matrix itself is
-    one cycle of weight-1 edges (the p-th power is then the identity on it),
-    and primitive otherwise (its diagonal count is then at least 2).
+
+def component_decomposition(sigma, orbit=None):
+    """Decompose the letter graph of sigma into p and ordered blocks.
+
+    p is the lcm of the cyclicities of the strongly connected components of
+    the graph of sigma; the blocks are the components of the graph of
+    sigma^p, read off the letter-set orbit (orbit, when given, is sigma's),
+    in an order where every edge stays in its block or goes to a later one
+    (verified).  A singleton block is null without a self-loop, unit when
+    its component of sigma is one cycle on which every image holds exactly
+    one letter of the component (sigma^p then fixes each of them), and
+    primitive otherwise.  Every primitive block is verified to have
+    cyclicity 1 under sigma^p: strongly connected and aperiodic, it is
+    primitive.
     """
-    letters = matrix.letters
-    n = matrix.n
-    support = matrix.support()
-    adj = _adjacency(support)
+    if orbit is None:
+        orbit = letterset_orbit(sigma)
+    letters = sigma.letters
+    n = len(letters)
+    adj = _edges(letters, orbit.state_at(1))
     p = 1
     on_unit_cycle = set()
     for comp in _strong_components(n, adj):
         p = lcm(p, _cyclicity(comp, adj))
-        if all(sum(matrix.rows[i][j] for i in comp) == 1 for j in comp):
+        inside = {letters[i] for i in comp}
+        if all(sum(c in inside for c in sigma.image(letters[j])) == 1
+               for j in comp):
             on_unit_cycle.update(comp)
 
-    sp = support.pow(p)
-    adj_p = _adjacency(sp)
+    adj_p = _edges(letters, orbit.state_at(p))
     comps = _strong_components(n, adj_p)
 
     # comps arrive products-first; dependency order wants producers first.
@@ -275,52 +170,37 @@ def component_decomposition(matrix):
         outside = any(i not in inside for j in comp for i in adj_p[j])
         if len(comp) == 1:
             j = comp[0]
-            if not sp.masks[j] >> j & 1:
+            if j not in adj_p[j]:
                 kind = NULL
             else:
                 kind = UNIT if j in on_unit_cycle else PRIMITIVE
         else:
             kind = PRIMITIVE
-        if kind == PRIMITIVE:
-            sub = _submatrix_support(sp, comp)
-            if not is_primitive(sub):
-                raise InternalCheckError(
-                    f"diagonal block {members} not primitive at p={p}")
+        if kind == PRIMITIVE and _cyclicity(comp, adj_p) != 1:
+            raise InternalCheckError(
+                f"diagonal block {members} not primitive at p={p}")
         raw.append((members, kind, not outside))
 
     blocks = tuple(ComponentBlock(m, k, pr) for m, k, pr in raw if not pr) + \
         tuple(ComponentBlock(m, k, pr) for m, k, pr in raw if pr)
     q = sum(1 for b in blocks if not b.principal)
 
-    _check_triangular(sp, blocks)
-    return Decomposition(p=p, blocks=blocks, q=q)
-
-
-def _submatrix_support(support, comp):
-    masks = tuple(sum(1 << jj for jj, j in enumerate(comp)
-                      if support.masks[i] >> j & 1) for i in comp)
-    return SupportMatrix(tuple(support.letters[i] for i in comp), masks)
-
-
-def _check_triangular(sp, blocks):
     pos = {a: bi for bi, blk in enumerate(blocks) for a in blk.letters}
-    letters = sp.letters
-    for i, mask in enumerate(sp.masks):
-        while mask:
-            j = (mask & -mask).bit_length() - 1
-            if pos[letters[i]] < pos[letters[j]]:
-                raise InternalCheckError("decomposition not block triangular")
-            mask &= mask - 1
+    if any(pos[letters[i]] < pos[letters[j]]
+           for j in range(n) for i in adj_p[j]):
+        raise InternalCheckError("decomposition not block triangular")
+    return Decomposition(p=p, blocks=blocks, q=q)
 
 
 def image_lengths(sigma, k, phi=None):
     """|phi(sigma^k(b))| for every letter b (phi the identity when None),
-    read off the k-th power of the incidence matrix."""
-    mat = incidence_matrix(sigma).pow(k)
-    weights = [1 if phi is None else len(phi.image(c)) for c in mat.letters]
-    return {
-        b: sum(w * mat.rows[i][j] for i, w in enumerate(weights))
-        for j, b in enumerate(mat.letters)}
+    by k steps of a length vector over the images."""
+    lengths = {b: 1 if phi is None else len(phi.image(b))
+               for b in sigma.letters}
+    for _ in range(k):
+        lengths = {b: sum(map(lengths.__getitem__, sigma.image(b)))
+                   for b in sigma.letters}
+    return lengths
 
 
 # ---------------------------------------------------------------------------
@@ -347,17 +227,20 @@ class LetterSetOrbit:
 
 
 def letterset_orbit(sigma, max_steps=100_000):
+    """The letter sets letters(sigma^k(b)) for k = 0, 1, ... until a state
+    repeats; letters(sigma^(k+1)(b)) is the union of letters(sigma^k(c))
+    over the distinct letters c of sigma(b)."""
     if not sigma.is_endomorphism:
         raise PreconditionError("letterset_orbit: not an endomorphism")
     letters = sigma.letters
-    one = [frozenset(sigma.image(a)) for a in letters]
-    idx = {a: i for i, a in enumerate(letters)}
+    image_letters = [set(sigma.image(a)) for a in letters]
     state = tuple(frozenset((a,)) for a in letters)
     states = [state]
     seen = {state: 0}
     for k in range(1, max_steps + 1):
-        state = tuple(
-            frozenset(c for b in cur for c in one[idx[b]]) for cur in state)
+        prev = dict(zip(letters, state)).__getitem__
+        state = tuple(frozenset().union(*map(prev, img))
+                      for img in image_letters)
         if state in seen:
             s = seen[state]
             return LetterSetOrbit(letters, tuple(states), s, k - s)
@@ -401,7 +284,7 @@ class MorphismFacts:
 
     @cached_property
     def decomposition(self):
-        return component_decomposition(incidence_matrix(self._sigma()))
+        return component_decomposition(self._sigma(), self.orbit)
 
     @cached_property
     def orbit(self):

@@ -6,7 +6,7 @@ stable image letter sets and single-component decomposition, and
 kappa(tau^omega(d0)) equals the limit of phi(sigma^n(a)).
 
 Certified property names:
-  P1      decomposition power of the incidence matrix is 1
+  P1      component decomposition power of the letter graph is 1
   P2      letters(tau(b)) == letters(tau^2(b)) for every b
   P3      alphabet is exactly {seed} union letters(tau(seed))
   P4      tau is non-erasing and prolongable at the seed
@@ -134,7 +134,7 @@ def achieve_growth_inequalities(sigma, phi, a):
     erases and |phi'(sigma'(b))| >= |phi'(b)| for every letter.
 
     Both replacements fix the fixed point x and its phi-image. Candidates are
-    verified with incidence arithmetic and escalated until they hold; bounded
+    verified on image lengths and escalated until they hold; bounded
     letters stabilize to fixed words, so a valid (j, k) always exists.
     """
     cap = len(sigma.letters) + MAX_PHI_COMPOSITIONS
@@ -160,14 +160,31 @@ def achieve_growth_inequalities(sigma, phi, a):
 def _growth_candidate(sigma, phi):
     """The smallest power k with |phi(sigma^k(b))| >= |phi(b)| for all b, or
     None. Small k keeps the later slot construction small, so scan upward
-    before falling back to doubling."""
+    before falling back to doubling.
+
+    The lengths are stepped over the images with every value cut at the
+    largest target, which still decides every inequality and leaves finitely
+    many length vectors: once one repeats, the sequence is periodic from its
+    first occurrence, and that settles every later candidate."""
     targets = {b: len(phi.image(b)) for b in sigma.letters}
     ceiling = max(1, max(targets.values(), default=1))
     candidates = list(range(1, ceiling + 1)) + [
         ceiling << i for i in range(1, MAX_POWER_DOUBLINGS + 1)]
+    lengths, seen, holds = dict(targets), {}, []
     for k in candidates:
-        reached = image_lengths(sigma, k, phi)
-        if all(reached[b] >= targets[b] for b in sigma.letters):
+        i = k
+        while i >= len(holds):
+            state = tuple(lengths.values())
+            if state in seen:
+                start = seen[state]
+                i = start + (i - start) % (len(holds) - start)
+                break
+            seen[state] = len(holds)
+            holds.append(all(lengths[b] >= t for b, t in targets.items()))
+            lengths = {
+                b: min(ceiling, sum(map(lengths.__getitem__, sigma.image(b))))
+                for b in targets}
+        if holds[i]:
             return k
     return None
 

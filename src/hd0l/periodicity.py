@@ -16,7 +16,6 @@ from .matrices import (
     PRIMITIVE,
     classify_letters,
     image_lengths,
-    incidence_matrix,
     is_primitive,
 )
 from .normalization import (
@@ -165,7 +164,7 @@ def primitive_periodicity(tau_i, a_i, kappa, limits=None, exponent=1):
     when it already breaks period q; it never decides a verdict.  A
     negative is certified only when N honors the formula bound."""
     limits = limits or DEFAULT_LIMITS
-    if not is_primitive(incidence_matrix(tau_i).support()):
+    if not is_primitive(tau_i):
         raise PreconditionError("primitive_periodicity: not primitive")
     letters = tau_i.letters
     formula = len(letters) * (1 + tau_i.max_image_len()) ** (len(letters) + 2)

@@ -1,6 +1,8 @@
 """Test-only helpers: public wrappers over the factor machinery and
 independent reference computations the suite checks the program against."""
 
+from dataclasses import dataclass
+
 from hd0l.errors import PreconditionError
 from hd0l.factors import (
     DEFAULT_MAX_FACTORS,
@@ -10,7 +12,52 @@ from hd0l.factors import (
     _recurrent_interned,
 )
 from hd0l.periodicity import Case3Witness
-from hd0l.words import as_word
+from hd0l.words import Morphism, as_word
+
+
+@dataclass(frozen=True)
+class IncidenceMatrix:
+    """rows[i][j] = number of occurrences of letters[i] in the image of
+    letters[j]; the dense reference the letter-graph routines are checked
+    against."""
+
+    letters: tuple
+    rows: tuple
+
+    def entry(self, a, b):
+        return self.rows[self.letters.index(a)][self.letters.index(b)]
+
+    def matmul(self, other):
+        if self.letters != other.letters:
+            raise PreconditionError("matmul: letter orders differ")
+        cols = tuple(zip(*other.rows))
+        return IncidenceMatrix(self.letters, tuple(
+            tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
+            for row in self.rows))
+
+
+def incidence_matrix(sigma, letters=None):
+    """Incidence matrix of an endomorphism over a fixed letter order."""
+    letters = tuple(sigma.letters if letters is None else letters)
+    return IncidenceMatrix(letters, tuple(
+        tuple(sigma.image(b).count(a) for b in letters) for a in letters))
+
+
+def morphism_from_rows(rows):
+    """The morphism over a, b, c, ... whose incidence matrix has the support
+    of rows: the image of letter j lists every letter i with rows[i][j]."""
+    letters = [chr(ord("a") + i) for i in range(len(rows))]
+    return Morphism({b: tuple(a for i, a in enumerate(letters) if rows[i][j])
+                     for j, b in enumerate(letters)})
+
+
+def letter_order(dec):
+    """The letters of a decomposition, block after block."""
+    return tuple(a for blk in dec.blocks for a in blk.letters)
+
+
+def block_index(dec):
+    return {a: i for i, blk in enumerate(dec.blocks) for a in blk.letters}
 
 
 def factors_of_length(sigma, a, n, max_factors=DEFAULT_MAX_FACTORS):

@@ -1,13 +1,15 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Oracles are independent re-computations: naive matrix powering, raw word
-iteration of the original system, and exhaustive alignment search.
+Oracles are independent re-computations: naive powering of dense incidence
+matrices, raw word iteration of the original system, and exhaustive
+alignment search.
 """
 
 import time
 
 from conftest import m, random_endomorphism, seeded
-from test_matrices import naive_is_primitive, support_from_rows
+from helpers import block_index, incidence_matrix, letter_order, morphism_from_rows
+from test_matrices import naive_is_primitive
 
 from hd0l.corpus import CORPUS
 from hd0l.hdol import class_limits, decide_hd0l, stabilized_power_exponent
@@ -16,7 +18,6 @@ from hd0l.matrices import (
     PRIMITIVE,
     UNIT,
     component_decomposition,
-    incidence_matrix,
     is_primitive,
     classify_letters,
     letterset_orbit,
@@ -118,7 +119,7 @@ def test_criterion_1_primitivity_equivalence():
         density = rng.choice((0.15, 0.3, 0.5, 0.8))
         rows = [[1 if rng.random() < density else 0 for _ in range(n)]
                 for _ in range(n)]
-        got = is_primitive(support_from_rows(rows))
+        got = is_primitive(morphism_from_rows(rows))
         want = naive_is_primitive(rows)
         assert got == want, f"matrix #{k}: {rows}"
     elapsed = time.perf_counter() - start
@@ -133,11 +134,11 @@ def test_criterion_2_decomposition_structure():
         size = rng.randint(1, 6)
         letters = "abcdef"[:size]
         sigma = random_endomorphism(rng, letters, max_len=3)
-        dec = component_decomposition(incidence_matrix(sigma))
-        ordered = dec.letter_order
+        dec = component_decomposition(sigma)
+        ordered = letter_order(dec)
         assert sorted(ordered) == sorted(letters)
         mat = incidence_matrix(power(sigma, dec.p), letters=ordered)
-        where = dec.block_index()
+        where = block_index(dec)
         # dependency order: images only use letters of the same or earlier
         # blocks, so everything right of the diagonal blocks is zero
         for a in ordered:
@@ -338,7 +339,7 @@ def test_criterion_8e_non_growing_letters_become_idempotent():
     systems += [entry.system.sigma for entry in CORPUS]
     for sigma in systems:
         # the smallest multiple of p * |A| with stable image letter sets
-        step = component_decomposition(incidence_matrix(sigma)).p * len(
+        step = component_decomposition(sigma).p * len(
             sigma.letters)
         stable = power(sigma, stabilizing_exponent(letterset_orbit(sigma), step))
         for b in classify_letters(stable).bounded:

@@ -166,19 +166,24 @@ def test_corpus_all_entries_pass():
         (r.entry.name, r.detail) for r in results if not r.ok]
 
 
-GOLDEN = Path(__file__).resolve().parent / "golden" / "corpus_decide.jsonl"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+# golden file -> command line run on every corpus entry
+GOLDEN = {
+    "corpus_decide.jsonl": ["decide", "--json", "--trace"],
+    "corpus_analyze.jsonl": ["analyze"],
+}
 
 
-def corpus_decide_outputs(directory):
-    """Exit code and output of `decide --json --trace` on every corpus entry,
-    one JSON line each.  After a change meant to alter them, rewrite the
-    golden file with
+def corpus_outputs(directory, command):
+    """Exit code and output of `command` on every corpus entry, one JSON
+    line each.  After a change meant to alter them, rewrite the golden
+    files with
     PYTHONPATH=src:tests python -c 'import test_cli; test_cli.write_golden()'"""
     rows = ""
     for entry in CORPUS:
         path = write_doc(directory, "doc.json", serialize_system(entry.system))
         with contextlib.redirect_stdout(io.StringIO()) as printed:
-            code = run_cli(["decide", path, "--json", "--trace"])
+            code = run_cli([command[0], path, *command[1:]])
         rows += json.dumps({"name": entry.name, "exit": code,
                             "stdout": printed.getvalue()}) + "\n"
     return rows
@@ -186,11 +191,24 @@ def corpus_decide_outputs(directory):
 
 def write_golden():
     with tempfile.TemporaryDirectory() as tmp:
-        GOLDEN.write_text(corpus_decide_outputs(Path(tmp)), encoding="utf-8")
+        for name, command in GOLDEN.items():
+            (GOLDEN_DIR / name).write_text(
+                corpus_outputs(Path(tmp), command), encoding="utf-8")
+
+
+def _matches_golden(tmp_path, name):
+    want = (GOLDEN_DIR / name).read_text(encoding="utf-8")
+    return corpus_outputs(tmp_path, GOLDEN[name]) == want
 
 
 def test_corpus_decide_matches_golden_file(tmp_path):
-    assert corpus_decide_outputs(tmp_path) == GOLDEN.read_text(encoding="utf-8")
+    assert _matches_golden(tmp_path, "corpus_decide.jsonl")
+
+
+def test_corpus_analyze_matches_golden_file(tmp_path):
+    """analyze prints the component power, every block's kind and role and
+    the letter classes, which no other test pins for the whole corpus."""
+    assert _matches_golden(tmp_path, "corpus_analyze.jsonl")
 
 
 def test_corpus_has_required_shapes():
@@ -302,6 +320,10 @@ MEMORY_CASES = {
     "slot-images-3": ({"a": "bbc", "b": "cc", "c": "aa"},
                       {"a": "0", "b": "", "c": "1"}, "b", "inconclusive",
                       "to_coding: slot images exceed 4000000 letters"),
+    "slot-alphabet": ({"a": "bbc", "b": "dca", "c": "aad", "d": "dc"},
+                      {"a": "", "b": "0", "c": "1", "d": "1"}, "a",
+                      "inconclusive",
+                      "compose: image table exceeds 4000000 letters"),
 }
 
 

@@ -6,12 +6,14 @@ from conftest import m, random_endomorphism, seeded
 from hd0l.errors import BoundedImageError, PreconditionError, ResourceLimitError
 from hd0l.matrices import (
     component_decomposition,
-    incidence_matrix,
+    image_lengths,
     letterset_orbit,
     satisfies_p2_at,
     stabilizing_exponent,
 )
 from hd0l.normalization import (
+    MAX_POWER_DOUBLINGS,
+    _growth_candidate,
     achieve_growth_inequalities,
     eliminate_erasing,
     eliminate_phi_dead,
@@ -32,7 +34,7 @@ def coding(table):
 def p1_p2_exponent(sigma, scale=1):
     """Smallest multiple of scale times the component power with stable
     image letter sets, as the normalization pipeline computes it."""
-    p = component_decomposition(incidence_matrix(sigma)).p
+    p = component_decomposition(sigma).p
     return stabilizing_exponent(letterset_orbit(sigma), p * scale)
 
 
@@ -115,6 +117,35 @@ def test_achieve_growth_inequalities():
     k = min(len(p2(x)), len(phi(y)), 50)
     assert k >= 25
     assert p2(x)[:k] == phi(y)[:k]
+
+
+def test_growth_candidate_settles_every_candidate():
+    # c holds 3 phi-letters only at even powers and a 4 from power 5 on:
+    # the first candidate past 1..4 is the doubling 8
+    sigma = m({"a": "c", "b": "cc", "c": "b"})
+    assert _growth_candidate(sigma, Morphism({"a": "0000", "b": "0",
+                                              "c": "000"})) == 8
+    # b shrinks to the fixed letter c for good: no power works
+    sigma = m({"a": "ab", "b": "c", "c": "c"})
+    assert _growth_candidate(sigma, Morphism({"a": "0", "b": "111",
+                                              "c": "2"})) is None
+    rng = seeded(17)
+    for _ in range(300):
+        letters = "abcd"[: rng.randint(1, 4)]
+        sigma = random_endomorphism(rng, letters)
+        phi = Morphism({a: "0" * rng.randint(1, 6) for a in letters})
+        targets = {b: len(phi.image(b)) for b in letters}
+        ceiling = max(targets.values())
+        candidates = [*range(1, ceiling + 1), *(
+            ceiling << i for i in range(1, MAX_POWER_DOUBLINGS + 1))]
+        want = next((k for k in candidates if k <= 48 and all(
+            n >= targets[b] for b, n in image_lengths(sigma, k, phi).items())),
+            None)
+        got = _growth_candidate(sigma, phi)
+        if want is None:
+            assert got is None or got > 48, (sigma, phi)
+        else:
+            assert got == want, (sigma, phi)
 
 
 def test_to_coding_slots():
