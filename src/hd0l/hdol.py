@@ -29,6 +29,7 @@ from .errors import (
 from .matrices import classify_letters
 from .normalization import (
     SubstitutiveRepresentation,
+    reachable_letters,
     restrict_to_reachable,
     substitutive_representation,
 )
@@ -255,7 +256,7 @@ class ClassLimit:
         raise PreconditionError("limit_prefix: divergent class has no limit")
 
 
-def class_limits(system, limits=None, trace=None):
+def class_limits(system, limits=None, trace=None, classes=None, shared=None):
     """Limits of phi(sigma^n(w)) along arithmetic classes of n, for one
     stabilized couple.
 
@@ -274,12 +275,20 @@ def class_limits(system, limits=None, trace=None):
     yields a literal periodic tail, an empty one a prolongable power whose
     coded fixed point is the limit (one subclass per interleaved index when
     the chain cycle is longer than one).
+
+    classes is the couple's _couple_classes table when the caller already
+    has it.  shared is a dict that one decide passes to all its couples: a
+    coded fixed point is normalized once per value of (tau, the coding on
+    the letters tau reaches from the anchor, anchor), the only inputs that
+    substitutive_representation reads.
     """
     limits = limits or DEFAULT_LIMITS
     trace = trace if trace is not None else []
+    shared = shared if shared is not None else {}
     sigma, phi, w = system.sigma, system.phi, system.seed
 
-    classes = _couple_classes(sigma, phi)
+    if classes is None:
+        classes = _couple_classes(sigma, phi)
     if not any(classes[c] == TO_INFINITY for c in w):
         raise PreconditionError(
             "class_limits: no seed letter with unbounded image lengths")
@@ -358,6 +367,7 @@ def class_limits(system, limits=None, trace=None):
         if tau.image(anchor)[0] != anchor:
             raise InternalCheckError(
                 "class_limits: empty flank cycle but no prolongation")
+        reach = reachable_letters(tau, (anchor,))
         trace.append(
             f"chain of leading unbounded letters cycles with period {q} "
             "and empty bounded flanks: coded fixed point tails")
@@ -375,14 +385,17 @@ def class_limits(system, limits=None, trace=None):
         if q > 1:
             trace.append(f"class {rho}: split into {q} interleaved subclasses")
         for r in range(q):
-            coding = compose(phi_bar, power(sig_bar, n_hat + r * modulus))
-            try:
-                rep = substitutive_representation(tau, coding, hs[start])
-            except BoundedImageError as exc:
-                raise InternalCheckError(
-                    "class_limits: unbounded chain letter produced a "
-                    "bounded fixed point image") from exc
-            out.append(ClassLimit(idx, rho, prefix, rep))
+            k = n_hat + r * modulus
+            coding = compose(phi_bar, power(sig_bar, k)) if k else phi_bar
+            key = (tau, coding.restrict(reach), anchor)
+            if key not in shared:
+                try:
+                    shared[key] = substitutive_representation(*key)
+                except BoundedImageError as exc:
+                    raise InternalCheckError(
+                        "class_limits: unbounded chain letter produced a "
+                        "bounded fixed point image") from exc
+            out.append(ClassLimit(idx, rho, prefix, shared[key]))
             idx += 1
     return out
 
@@ -447,6 +460,12 @@ def decide_hd0l(system, limits=None):
     an exact limit, either literally periodic or as a coded fixed point
     settled by the substitutive procedure.  The verdict is Yes exactly when
     all class limits share one canonical form.
+
+    Value-equal couples are common (every couple of a growing letter
+    rotation codes to the same fixed point), so one dict, local to this
+    call, holds each normalization by its inputs and each substitutive
+    decision by its representation: every distinct value is normalized and
+    decided once, with every check, under this call's limits.
     """
     limits = limits or DEFAULT_LIMITS
     trace = []
@@ -465,7 +484,7 @@ def decide_hd0l(system, limits=None):
     sig_e = power(sigma, e)
     trace.append(f"splitting indices modulo {e}")
 
-    entries = []
+    entries, shared = [], {}
     for i in range(e):
         phi_i = compose(phi_i, sigma) if i else phi
         classes = _couple_classes(sig_e, phi_i)
@@ -476,14 +495,18 @@ def decide_hd0l(system, limits=None):
         couple = HD0LSystem(
             sig_e.letters, system.alphabet_b, sig_e, phi_i, w2)
         lines = []
-        cls = class_limits(couple, limits, trace=lines)
+        cls = class_limits(couple, limits, lines, classes, shared)
         trace.extend(f"couple {i}: {line}" for line in lines)
         for cl in cls:
             label = f"couple {i} class {cl.group}.{cl.index}"
             if isinstance(cl.tail, PeriodicTail):
                 up = canonicalize_up(cl.prefix, cl.tail.word)
             else:
-                outcome = decide_substitutive(cl.tail, limits)
+                # a representation is never equal to a normalization key,
+                # which is a tuple, so both kinds of entry share the dict
+                if cl.tail not in shared:
+                    shared[cl.tail] = decide_substitutive(cl.tail, limits)
+                outcome = shared[cl.tail]
                 if not outcome.periodic:
                     trace.append(f"{label}: no periodic limit "
                                  f"({outcome.diagnostic})")

@@ -34,7 +34,8 @@ def word_str(w):
 class Morphism:
     """A morphism between free monoids, stored as a letter -> image-word table."""
 
-    __slots__ = ("images", "domain", "codomain", "letters", "_facts", "__weakref__")
+    __slots__ = ("images", "domain", "codomain", "letters", "key", "_facts",
+                 "__weakref__")
 
     def __init__(self, images, codomain=None):
         table = {}
@@ -45,6 +46,8 @@ class Morphism:
         self.images = table
         self.domain = frozenset(table)
         self.letters = tuple(sorted(table))
+        # the value of the morphism, which equality and hashing read
+        self.key = tuple((a, table[a]) for a in self.letters)
         self._facts = None
         used = frozenset(c for img in table.values() for c in img)
         if codomain is None:
@@ -111,10 +114,10 @@ class Morphism:
             f"{a}->{word_str(self.images[a])}" for a in self.letters) + "}"
 
     def __eq__(self, other):
-        return isinstance(other, Morphism) and self.images == other.images
+        return isinstance(other, Morphism) and self.key == other.key
 
     def __hash__(self):
-        return hash(tuple(sorted(self.images.items())))
+        return hash(self.key)
 
     def __repr__(self):
         return f"Morphism({self.pretty()})"

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from conftest import m, random_endomorphism, seeded
-from hd0l import matrices
+from hd0l import hdol, matrices
 from hd0l.errors import PreconditionError, ResourceLimitError
 from hd0l.hdol import (
     BOUNDED,
@@ -485,6 +485,81 @@ def test_decide_analyses_each_morphism_instance_once(monkeypatch):
     for calls in (decomposed, walked):
         assert calls
         assert max(Counter(map(id, calls)).values()) == 1
+
+
+def growing_rotation(n):
+    # c0 -> c1 -> ... -> c(n-1) -> c0 c0 with every letter coded to 0: n
+    # couples whose class limits all normalize to the same fixed point
+    letters = [f"c{i}" for i in range(n)]
+    images = {a: (b,) for a, b in zip(letters, letters[1:])}
+    images[letters[-1]] = (letters[0], letters[0])
+    return hd0l(Morphism(images), Morphism({a: ("0",) for a in letters}),
+                [letters[0]])
+
+
+def test_decide_work_does_not_grow_with_value_equal_couples(monkeypatch):
+    counts = Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(matrices, "component_decomposition")
+    counted(hdol, "substitutive_representation")
+    counted(hdol, "decide_substitutive")
+    seen = []
+    for n in (16, 32):
+        counts.clear()
+        out = decide_hd0l(growing_rotation(n))
+        assert out.periodic and out.up == UltimatelyPeriodicWord((), ("0",))
+        assert sum(1 for line in out.trace if line.endswith("limit e(0)^w")) == n
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+    assert seen[1]["substitutive_representation"] == 1
+    assert seen[1]["decide_substitutive"] == 1
+
+
+def test_couples_that_differ_on_the_anchor_letters_are_each_decided():
+    # x_i -> x_(i+1) x_(i+1) with x0 coded to 10 and the rest to 01: the
+    # couple codings differ on the anchor x0, so nothing is shared
+    letters = [f"x{i}" for i in range(4)]
+    sigma = Morphism({x: (letters[(i + 1) % 4],) * 2
+                      for i, x in enumerate(letters)})
+    phi = Morphism({x: ("1", "0") if x == "x0" else ("0", "1")
+                    for x in letters})
+    out = decide_hd0l(hd0l(sigma, phi, ["x0"]))
+    assert not out.periodic and out.diagnostic == CLASS_LIMITS_DIFFER
+    couple = [
+        "classes modulo 1 from offset 0 (first letters 0+1, tables 0+1)",
+        "chain of leading unbounded letters cycles with period 1 and empty "
+        "bounded flanks: coded fixed point tails",
+    ]
+    assert list(out.trace) == [
+        "splitting indices modulo 4",
+        *(line
+          for i, limit in enumerate(["e(10)^w", "e(01)^w", "e(01)^w",
+                                     "e(01)^w"])
+          for line in [*(f"couple {i}: {c}" for c in couple),
+                       f"couple {i} class 0.0: limit {limit}"]),
+        "class limits differ: couple 0 class 0 gives e(10)^w, couple 1 "
+        "class 0 gives e(01)^w",
+    ]
+
+
+def test_nothing_carries_over_between_decides():
+    # 3-bonacci is uncertified under the default bound and certified at the
+    # formula bound, so a decision kept from the first call would show
+    system = id_system(m({"a": "ab", "b": "ac", "c": "a"}), "a")
+    first = decide_hd0l(system)
+    second = decide_hd0l(system, Limits(primitive_bound=98304))
+    for out in (first, second):
+        assert not out.periodic
+        assert out.diagnostic == APERIODIC_SUB_COMPONENT
+    assert (first.certified, second.certified) == (False, True)
 
 
 # ------------------------------------------------------- canonical equality

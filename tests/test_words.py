@@ -47,6 +47,16 @@ def test_morphism_apply_and_properties():
         sigma(("c",))
 
 
+def test_morphism_equality_reads_the_value():
+    sigma = Morphism({"a": "ab", "b": "a"})
+    same = Morphism({"b": ("a",), "a": ("a", "b")}, codomain={"a", "b", "c"})
+    assert sigma.key == same.key == (("a", ("a", "b")), ("b", ("a",)))
+    assert sigma == same and hash(sigma) == hash(same)
+    assert {sigma: 1}[same] == 1
+    assert sigma != Morphism({"a": "ab", "b": "b"})
+    assert sigma != Morphism({"a": "ab"})
+
+
 def test_morphism_codomain_check():
     phi = Morphism({"a": "01", "b": "1"}, codomain={"0", "1"})
     assert phi.codomain == {"0", "1"}
