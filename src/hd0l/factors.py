@@ -11,6 +11,13 @@ of the periodic tail.
 
 Words are interned into one-char-per-letter Python strings so window slicing
 and image application run at C speed; public results decode back to tuples.
+One encoding rule holds throughout: the i-th letter of tau (in `letters`
+order) is chr(i), and a coding numbers its distinct output letters j = 0,
+1, ... in that order and writes the j-th as chr(j).  Below 128 letters
+both a word and its coded image are then ASCII strings, which CPython
+stores one byte per letter and maps with str.translate on its ASCII fast
+path: a coding runs as a byte table lookup, and an image word is built one
+byte per letter, about twice as fast as with codes past the ASCII range.
 """
 
 from dataclasses import dataclass
@@ -37,7 +44,7 @@ class FactorEngine:
         if not tau.is_non_erasing:
             raise PreconditionError("FactorEngine: erasing substitution")
         self.tau = tau
-        self._enc = {a: chr(0x100 + i) for i, a in enumerate(tau.letters)}
+        self._enc = {a: chr(i) for i, a in enumerate(tau.letters)}
         self._dec = {c: a for a, c in self._enc.items()}
         self.table = {
             self._enc[a]: "".join(self._enc[c] for c in tau.image(a))
@@ -49,7 +56,7 @@ class FactorEngine:
         return "".join(self._enc[a] for a in word)
 
     def decode(self, s):
-        return tuple(self._dec[c] for c in s)
+        return tuple(map(self._dec.__getitem__, s))
 
     def apply(self, s):
         return s.translate(self._by_ord)
@@ -60,9 +67,11 @@ class FactorEngine:
         word can cycle, until one, s, is a prefix of its image s + c; from
         then on the iterates grow by the chunks c, tau(c), tau^2(c), ..., as
         in words.fixed_point_chunks, and as tau does not erase, the first
-        n - len(s) letters of a chunk are enough.  The word held may not
-        pass max_word, which is checked from the image lengths before an
-        image is built."""
+        n - len(s) letters of a chunk are enough, and the first n - len(s)
+        letters of their image are all that is kept.  Unless max_word is
+        None, the word held with the next image may not pass max_word,
+        which is checked from the image lengths before the image is
+        built."""
         s = self.encode(word)
         for _ in range(10_000):
             if len(s) >= n:
@@ -77,14 +86,16 @@ class FactorEngine:
             raise ResourceLimitError("expand_until: step cap exceeded")
         chunk, s = nxt[len(s):], nxt
         while len(s) < n:
-            chunk = self._apply_within(chunk[:n - len(s)], len(s), max_word)
-            s += chunk
+            need = n - len(s)
+            chunk = self._apply_within(chunk[:need], len(s), max_word)
+            s += chunk[:need]
         return s[:n]
 
     def _apply_within(self, s, held, max_word):
         # the image lengths are summed only when the longest one could
         # take held + |image| past max_word
-        if (held + self._longest * len(s) > max_word
+        if (max_word is not None
+                and held + self._longest * len(s) > max_word
                 and held + sum(map(len, map(self.table.__getitem__, s))) > max_word):
             raise ResourceLimitError("expand_until: word cap exceeded")
         return self.apply(s)
@@ -111,18 +122,32 @@ class FactorEngine:
         return frozenset(found)
 
     def coding_table(self, kappa):
-        """str.translate table taking each interned letter to one char that
-        stands for its kappa-image, so coded words slice and compare at C
-        speed.  kappa must have single-letter images."""
-        table = {}
-        codes = {}
+        """(table, letter_of): the str.translate table taking each interned
+        letter to the code chr(j) of its kappa-image, j numbering the
+        distinct images in letter order (the module's encoding rule), so
+        coded words slice and compare at C speed; and the kappa-image letter
+        of each code.  kappa must have single-letter images."""
+        table, codes = {}, {}
         for a in self.tau.letters:
             img = kappa.image(a)
             if len(img) != 1:
                 raise PreconditionError("coding table: kappa not a coding")
-            table[ord(self._enc[a])] = codes.setdefault(
-                img[0], 0x8000 + len(codes))
-        return table
+            table[ord(self._enc[a])] = codes.setdefault(img[0], chr(len(codes)))
+        return table, {c: x for x, c in codes.items()}
+
+    def coded_prefix(self, word, n, kappa):
+        """kappa of the first n letters of the fixed point at word, as a word,
+        expanded with no word cap: one expand_until, one str.translate
+        through the coding.  When every kappa-image is a one-character
+        letter, the translate writes those letters and the word is the
+        tuple of its result; otherwise one decode map turns the codes back
+        into letters."""
+        s = self.expand_until(word, n, max_word=None)
+        table, letter_of = self.coding_table(kappa)
+        if all(len(x) == 1 for x in letter_of.values()):
+            return tuple(s.translate(
+                {i: letter_of[c] for i, c in table.items()}))
+        return tuple(map(letter_of.__getitem__, s.translate(table)))
 
     def coded_window_floor(self, kappa, seed_word, n, sample_len,
                            max_word=DEFAULT_MAX_WORD):
@@ -135,7 +160,7 @@ class FactorEngine:
         if n < 1:
             raise PreconditionError("coded_window_floor: n must be positive")
         s = self.expand_until(seed_word, max(n, sample_len), max_word)
-        coded = s.translate(self.coding_table(kappa))
+        coded = s.translate(self.coding_table(kappa)[0])
         return len({hash(coded[i:i + n]) for i in range(len(coded) - n + 1)})
 
 
@@ -227,7 +252,7 @@ def finalcheck(rep, v, max_factors=DEFAULT_MAX_FACTORS):
     last i below their index with y[i] != y[i+q]."""
     v = primitive_root(as_word(v))
     q = len(v)
-    engine = FactorEngine(rep.tau)
+    engine = rep.engine
     _, recurrent, index = _recurrent_interned(
         engine, (rep.seed,), q, max_factors, DEFAULT_MAX_WORD)
     if not period_fits((rep.kappa(engine.decode(b)) for b in recurrent), v):

@@ -14,6 +14,8 @@ Certified property names:
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 from .errors import (
     BoundedImageError,
@@ -21,12 +23,12 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
+from .factors import FactorEngine
 from .matrices import image_lengths
 from .words import (
     DEFAULT_COMPOSE_CAP,
     Morphism,
     compose,
-    expand_fixed_point,
     fixed_point_chunks,
     is_prolongable,
     power,
@@ -201,17 +203,18 @@ def to_coding(sigma, phi, a):
     if not is_prolongable(sigma, a):
         raise PreconditionError("to_coding: seed not prolongable")
 
-    if sum(len(phi.image(c)) for b in sigma.letters
-           for c in sigma.image(b)) > DEFAULT_COMPOSE_CAP:
+    width = {b: len(phi.image(b)) for b in sigma.letters}
+    if sum(sum(map(width.__getitem__, sigma.image(b)))
+           for b in sigma.letters) > DEFAULT_COMPOSE_CAP:
         raise ResourceLimitError(
             f"to_coding: slot images exceed {DEFAULT_COMPOSE_CAP} letters")
     # one name per slot, shared by every image it occurs in
-    slots = {b: tuple(f"({b},{i})" for i in range(len(phi.image(b))))
+    slots = {b: tuple(f"({b},{i})" for i in range(width[b]))
              for b in sigma.letters}
     tau_images = {}
     kappa_images = {}
     for b in sigma.letters:
-        blocks = [x for c in sigma.image(b) for x in slots[c]]
+        blocks = list(chain.from_iterable(map(slots.__getitem__, sigma.image(b))))
         own = slots[b]
         if len(blocks) < len(own):
             raise PreconditionError(f"to_coding: image of {b!r} too short")
@@ -253,8 +256,15 @@ class SubstitutiveRepresentation:
             raise InternalCheckError("verify: kappa not a coding over the alphabet")
         return True
 
+    @cached_property
+    def engine(self):
+        """The interned FactorEngine of tau, built on first use and shared
+        by expand_image, finalcheck and the confirmation of this instance."""
+        return FactorEngine(self.tau)
+
     def expand_image(self, n):
-        return self.kappa(expand_fixed_point(self.tau, self.seed, n))
+        """The first n letters of y, with no cap on the word expanded."""
+        return self.engine.coded_prefix((self.seed,), n, self.kappa)
 
 
 def _assert_p1_p2(sigma, where):

@@ -173,7 +173,7 @@ def primitive_periodicity(tau_i, a_i, kappa, limits=None, exponent=1):
     if bound < 1:
         raise PreconditionError("primitive_periodicity: bound must be positive")
     eng = FactorEngine(tau_i)
-    table = eng.coding_table(kappa)
+    table, _ = eng.coding_table(kappa)
     q = minimal_period(eng.expand_until((a_i,), 2 * bound).translate(table))
     if q <= bound:
         s = eng.expand_until((a_i,), max(20_000, 80 * q)).translate(table)

@@ -26,9 +26,9 @@ def word_str(w):
     """Human-readable rendering; joins single-char letters, brackets multi-char ones."""
     if not w:
         return "e"
-    if set(map(len, w)) == {1}:
-        return "".join(w)
-    return ".".join(w)
+    s = "".join(w)
+    # letters are non-empty, so only one-char letters join to len(w) chars
+    return s if len(s) == len(w) else ".".join(w)
 
 
 class Morphism:
@@ -49,7 +49,7 @@ class Morphism:
         # the value of the morphism, which equality and hashing read
         self.key = tuple((a, table[a]) for a in self.letters)
         self._facts = None
-        used = frozenset(c for img in table.values() for c in img)
+        used = frozenset(chain.from_iterable(table.values()))
         if codomain is None:
             self.codomain = used
         else:

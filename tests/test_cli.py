@@ -397,6 +397,19 @@ def test_cli_expand_linear_growth_past_ten_thousand(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "b" + "c" * 10049
 
 
+def test_cli_expand_past_the_factor_word_cap(tmp_path, capsys):
+    # expand holds no cap: its prefix may pass the word cap of the decide
+    # paths, which an expansion's last image would otherwise trip
+    from conftest import m
+    from hd0l.factors import DEFAULT_MAX_WORD
+    from hd0l.words import expand_fixed_point
+    length = DEFAULT_MAX_WORD + 1
+    path = write_doc(tmp_path, "tm.json", make_doc({"a": "ab", "b": "ba"}))
+    assert run_cli(["expand", path, "--length", str(length)]) == EXIT_YES
+    want = "".join(expand_fixed_point(m({"a": "ab", "b": "ba"}), "a", length))
+    assert capsys.readouterr().out == want + "\n"
+
+
 def test_cli_expand_aperiodic_limit(tmp_path, capsys):
     path = write_doc(tmp_path, "fib.json", FIB_DOC)
     assert run_cli(["expand", path, "--length", "13"]) == EXIT_YES

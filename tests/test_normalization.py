@@ -19,6 +19,7 @@ from hd0l.normalization import (
     eliminate_phi_dead,
     image_is_infinite,
     phi_dead_letters,
+    SubstitutiveRepresentation,
     reachable_letters,
     recurrent_letter_set,
     substitutive_representation,
@@ -192,6 +193,35 @@ def test_representation_with_dead_letters():
     rep = substitutive_representation(
         m({"a": "ab", "b": "c", "c": "b"}), Morphism({"a": "0", "b": "1", "c": ""}), "a")
     assert rep.expand_image(6) == tuple("011111")
+
+
+def _random_representation(rng, size, outputs):
+    """A prolongable non-erasing tau on size letters with a random coding
+    onto the given output letters (usually fewer, so several letters share
+    one)."""
+    letters = [f"t{i}" for i in range(size)]
+    images = {a: [rng.choice(letters) for _ in range(rng.randint(1, 3))]
+              for a in letters}
+    seed = rng.choice(letters)
+    images[seed] = [seed] + images[seed]
+    kappa = Morphism({a: (rng.choice(outputs),) for a in letters})
+    return SubstitutiveRepresentation(Morphism(images), kappa, seed, frozenset())
+
+
+@pytest.mark.parametrize("size, outputs", [
+    (5, "01"),                      # ASCII codes, one-character output
+    (6, ("x", "y1", "zz2")),        # ASCII codes, output decoded
+    (150, "abc"),                   # codes past ASCII
+    (150, ("p", "q0", "r00")),      # codes past ASCII, output decoded
+    (300, ("0", "1", "22")),        # two-byte codes
+])
+def test_expand_image_matches_the_tuple_engine(size, outputs):
+    rng = seeded(size)
+    for _ in range(6):
+        rep = _random_representation(rng, size, outputs)
+        for n in (0, 1, 2, 37, 3000):
+            assert rep.expand_image(n) == rep.kappa(
+                expand_fixed_point(rep.tau, rep.seed, n))
 
 
 def test_representation_bounded_cases():

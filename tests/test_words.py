@@ -34,6 +34,10 @@ def test_as_word_and_str():
     assert word_str(()) == "e"
     assert word_str(("a", "b")) == "ab"
     assert word_str(("a", "b1")) == "a.b1"
+    # mixed widths: the plain join would be ambiguous
+    assert word_str(("ab", "c")) == "ab.c"
+    assert word_str(("a", "bc", "d", "(e,0)")) == "a.bc.d.(e,0)"
+    assert word_str(("ab",)) == "ab"
 
 
 def test_morphism_apply_and_properties():
