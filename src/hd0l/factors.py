@@ -46,14 +46,13 @@ class FactorEngine:
         self.tau = tau
         self._enc = {a: chr(i) for i, a in enumerate(tau.letters)}
         self._dec = {c: a for a, c in self._enc.items()}
-        self.table = {
-            self._enc[a]: "".join(self._enc[c] for c in tau.image(a))
-            for a in tau.letters}
+        self.table = {self._enc[a]: self.encode(tau.image(a))
+                      for a in tau.letters}
         self._by_ord = {ord(c): img for c, img in self.table.items()}
         self._longest = tau.max_image_len()
 
     def encode(self, word):
-        return "".join(self._enc[a] for a in word)
+        return "".join(map(self._enc.__getitem__, word))
 
     def decode(self, s):
         return tuple(map(self._dec.__getitem__, s))
