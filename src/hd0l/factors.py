@@ -28,7 +28,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .matrices import letterset_orbit, stabilizing_exponent
+from .matrices import stabilizing_exponent
 from .words import Morphism, as_word, canonicalize_up, is_prolongable, primitive_root
 
 DEFAULT_MAX_FACTORS = 200_000
@@ -203,13 +203,13 @@ def _recurrent_interned(engine, seed_word, n, max_factors, max_word):
     Works on the n-block substitution raised to its minimal letter-set
     stabilization power r: the block fixed point is c u s(u) s^2(u) ... with
     s the raised substitution, so the letters of s(u) are the recurrent
-    blocks and everything past c u is one. Letter sets of s(u) come from the
-    orbit table; only s(c) = c u is ever materialized."""
+    blocks and everything past c u is one. Letter sets of s(u) are ORs of
+    sigma_n's letter-graph masks; only s(c) = c u is ever materialized."""
     bs = _block_substitution(engine, seed_word, n, max_factors)
     sigma_n = bs.morphism
     if not is_prolongable(sigma_n, bs.seed_name):
         raise PreconditionError("recurrent factors: block seed not prolongable")
-    orbit = letterset_orbit(sigma_n)
+    orbit = sigma_n.facts.orbit
     r = stabilizing_exponent(orbit)
     word = (bs.seed_name,)
     for _ in range(r):
@@ -218,9 +218,11 @@ def _recurrent_interned(engine, seed_word, n, max_factors, max_word):
             raise ResourceLimitError("recurrent factors: block word cap exceeded")
     if word[0] != bs.seed_name:
         raise InternalCheckError("block power lost prolongability")
-    rec_names = set().union(*(orbit.letters_of(r, b) for b in set(word[1:])))
+    image, rec = orbit.masks_at(r), 0
+    for b in set(word[1:]):
+        rec |= image[orbit.index[b]]
     all_factors = frozenset(bs.factor_of[v] for v in sigma_n.letters)
-    recurrent = frozenset(bs.factor_of[v] for v in rec_names)
+    recurrent = frozenset(bs.factor_of[v] for v in orbit.letters_in(rec))
     return all_factors, recurrent, len(word)
 
 

@@ -1,16 +1,29 @@
 """The letter graph of an endomorphism: component decomposition, primitivity,
 image lengths, letter-set orbits and letter growth classes.
 
-Every routine reads the images and the letter sets letters(sigma^k(b)) of
-the letter-set orbit; no matrix is built.  The graph has an edge from b to
-every letter of sigma(b), and the graph of sigma^k an edge from b to every
-letter of letters(sigma^k(b)).
+The graph has an edge from b to every letter of sigma(b).  It is held once
+per morphism as int bitmasks: S_k[i] is the mask of letters(sigma^k(
+letters[i])), bit j for letters[j].  S_{j+k}[b] is the OR of S_k[c] over
+the bits c of S_j[b], so any S_k takes O(log k) such compositions and the
+orbit S_0, S_1, ... is never listed.  Its period is the lcm of the
+cyclicities of the strong components (Brualdi and Ryser, Combinatorial
+Matrix Theory, 3.4), which is also the decomposition's power p; its
+preperiod, the least k with S_k == S_{k+period}, a predicate that stays
+true once true, comes from an exponential and then a binary search.
+
+Mortal letters read reachability.  The letters in S_k[b] for infinitely
+many k (the orbit's cycle states at b) are those reachable from a cyclic
+strong component that b reaches: a walk of length at least |A| repeats a
+letter, so it runs through a cycle, and a walk through a cycle of length L
+extends L letters at a time.  One pass over the components gives that set
+as a mask per letter.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import weakref
-from functools import cached_property
+from functools import cached_property, reduce
 from math import gcd, lcm
+from operator import or_
 
 from .errors import InternalCheckError, PreconditionError, ResourceLimitError
 
@@ -38,12 +51,6 @@ class Decomposition:
     p: int
     blocks: tuple
     q: int
-
-
-def _edges(letters, sets):
-    """adj[j] = sorted indices of the letters of sets[j]."""
-    index = {a: i for i, a in enumerate(letters)}
-    return [sorted(map(index.__getitem__, s)) for s in sets]
 
 
 def _strong_components(n, adj):
@@ -123,48 +130,41 @@ def is_primitive(sigma):
         raise PreconditionError("is_primitive: empty alphabet")
     if not sigma.is_endomorphism:
         raise PreconditionError("is_primitive: not an endomorphism")
-    letters = sigma.letters
-    adj = _edges(letters, (set(sigma.image(a)) for a in letters))
-    comps = _strong_components(len(letters), adj)
-    return len(comps) == 1 and any(adj) and _cyclicity(comps[0], adj) == 1
+    orbit = sigma.facts.orbit
+    return len(orbit.components) == 1 == orbit.period and any(orbit.masks)
 
 
 def component_decomposition(sigma, orbit=None):
     """Decompose the letter graph of sigma into p and ordered blocks.
 
     p is the lcm of the cyclicities of the strongly connected components of
-    the graph of sigma; the blocks are the components of the graph of
-    sigma^p, read off the letter-set orbit (orbit, when given, is sigma's),
-    in an order where every edge stays in its block or goes to a later one
-    (verified).  A singleton block is null without a self-loop, unit when
-    its component of sigma is one cycle on which every image holds exactly
-    one letter of the component (sigma^p then fixes each of them), and
-    primitive otherwise.  Every primitive block is verified to have
-    cyclicity 1 under sigma^p: strongly connected and aperiodic, it is
+    the graph of sigma, the period of its letter-set orbit (orbit, when
+    given, is sigma's); the blocks are the components of the graph of
+    sigma^p, in an order where every edge stays in its block or goes to a
+    later one (verified).  A singleton block is null without a self-loop,
+    unit when its component of sigma is one cycle on which every image
+    holds exactly one letter of the component (sigma^p then fixes each of
+    them), and primitive otherwise.  Every primitive block is verified to
+    have cyclicity 1 under sigma^p: strongly connected and aperiodic, it is
     primitive.
     """
-    if orbit is None:
-        orbit = letterset_orbit(sigma)
+    orbit = orbit or letterset_orbit(sigma)
     letters = sigma.letters
     n = len(letters)
-    adj = _edges(letters, orbit.state_at(1))
-    p = 1
+    p = orbit.period
     on_unit_cycle = set()
-    for comp in _strong_components(n, adj):
-        p = lcm(p, _cyclicity(comp, adj))
+    for comp in orbit.components:
         inside = {letters[i] for i in comp}
         if all(sum(c in inside for c in sigma.image(letters[j])) == 1
                for j in comp):
             on_unit_cycle.update(comp)
 
-    adj_p = _edges(letters, orbit.state_at(p))
-    comps = _strong_components(n, adj_p)
-
-    # comps arrive products-first; dependency order wants producers first.
-    comps.reverse()
+    adj_p = list(map(_bits, orbit.masks_at(p)))
+    comps = orbit.components if p == 1 else _strong_components(n, adj_p)
 
     raw = []
-    for comp in comps:
+    # comps arrive products-first; dependency order wants producers first.
+    for comp in reversed(comps):
         members = tuple(letters[i] for i in comp)
         inside = set(comp)
         outside = any(i not in inside for j in comp for i in adj_p[j])
@@ -204,75 +204,118 @@ def image_lengths(sigma, k, phi=None):
 
 
 # ---------------------------------------------------------------------------
-# Letter-set orbits: letters(sigma^k(b)) for all k, without expanding words.
+# Letter-set orbits: letters(sigma^k(b)) for all k, as masks (module docstring).
+
+def _bits(mask):
+    """The indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _then(first, second):
+    """S_{j+k} from first = S_j and second = S_k."""
+    done = {mask: reduce(or_, map(second.__getitem__, _bits(mask)), 0)
+            for mask in set(first)}
+    return tuple(map(done.__getitem__, first))
+
+
+def _masks_at(powers, k):
+    """S_k = S_{k//2} S_{k//2} (S_1), memoized; powers starts at S_0, S_1."""
+    if k not in powers:
+        half = _masks_at(powers, k // 2)
+        whole = _then(half, half)
+        powers[k] = _then(whole, powers[1]) if k & 1 else whole
+    return powers[k]
+
 
 @dataclass(frozen=True)
 class LetterSetOrbit:
-    """Eventually periodic orbit of the per-letter image letter sets."""
+    """The letter graph of sigma as masks, and the orbit S_0, S_1, ..."""
 
     letters: tuple
-    states: tuple      # states[k] = tuple of frozensets, aligned with letters
+    masks: tuple         # S_1, aligned with letters
+    components: tuple    # strong components of sigma's graph, products first
+    cyclic_reach: tuple  # letters reachable from a cyclic component b reaches
     preperiod: int
     period: int
+    index: dict = field(compare=False, repr=False)
+    _powers: dict = field(compare=False, repr=False)
 
-    def state_at(self, k):
-        if k < len(self.states):
-            return self.states[k]
+    def masks_at(self, k):
+        """S_k, memoized per k."""
         s, t = self.preperiod, self.period
-        return self.states[s + (k - s) % t]
+        return _masks_at(self._powers, s + (k - s) % t if k >= s + t else k)
 
-    def letters_of(self, k, a):
-        """letters(sigma^k(a))."""
-        return self.state_at(k)[self.letters.index(a)]
+    def letters_in(self, mask):
+        return frozenset(map(self.letters.__getitem__, _bits(mask)))
 
 
-def letterset_orbit(sigma, max_steps=100_000):
-    """The letter sets letters(sigma^k(b)) for k = 0, 1, ... until a state
-    repeats; letters(sigma^(k+1)(b)) is the union of letters(sigma^k(c))
-    over the distinct letters c of sigma(b)."""
+def letterset_orbit(sigma):
+    """The letter graph of sigma, its strong components, and the preperiod
+    and period of its letter-set orbit, found without listing the orbit."""
     if not sigma.is_endomorphism:
         raise PreconditionError("letterset_orbit: not an endomorphism")
-    letters = sigma.letters
-    image_letters = [set(sigma.image(a)) for a in letters]
-    state = tuple(frozenset((a,)) for a in letters)
-    states = [state]
-    seen = {state: 0}
-    for k in range(1, max_steps + 1):
-        prev = dict(zip(letters, state)).__getitem__
-        state = tuple(frozenset().union(*map(prev, img))
-                      for img in image_letters)
-        if state in seen:
-            s = seen[state]
-            return LetterSetOrbit(letters, tuple(states), s, k - s)
-        seen[state] = k
-        states.append(state)
-    raise ResourceLimitError("letterset_orbit: no repetition found")
+    letters, n = sigma.letters, len(sigma.letters)
+    index = {a: i for i, a in enumerate(letters)}
+    masks = tuple(sum(1 << index[c] for c in set(sigma.image(a)))
+                  for a in letters)
+    adj = [_bits(mask) for mask in masks]
+    comps = _strong_components(n, adj)
+    period = lcm(1, *(_cyclicity(comp, adj) for comp in comps))
+
+    # per letter, products first: the letters it reaches, and those past a cycle
+    reach, cyclic = [0] * n, [0] * n
+    for comp in comps:
+        edges = [i for j in comp for i in adj[j]]
+        mine = reduce(or_, map(reach.__getitem__, edges),
+                      sum(1 << j for j in comp))
+        down = reduce(or_, map(cyclic.__getitem__, edges), 0)
+        if len(comp) > 1 or comp[0] in edges:
+            down |= mine
+        for j in comp:
+            reach[j], cyclic[j] = mine, down
+
+    powers = {0: tuple(1 << i for i in range(n)), 1: masks}
+
+    def settled(k):
+        return _masks_at(powers, k) == _masks_at(powers, k + period)
+
+    lo, hi = -1, 0
+    while not settled(hi):
+        if hi > n * n:  # the index of an n x n Boolean matrix
+            raise InternalCheckError("letterset_orbit: index past (n-1)^2+1")
+        lo, hi = hi, max(1, 2 * hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if settled(mid) else (mid, hi)
+    return LetterSetOrbit(letters, masks, tuple(map(tuple, comps)),
+                          tuple(cyclic), hi, period, index, powers)
 
 
 def satisfies_p2_at(orbit, e):
     """letters(sigma^e(b)) == letters(sigma^{2e}(b)) for every b; equivalently
     the letter sets of all sigma^{ke}(b), k >= 1, coincide."""
-    return orbit.state_at(e) == orbit.state_at(2 * e)
+    return orbit.masks_at(e) == orbit.masks_at(2 * e)
 
 
 def stabilizing_exponent(orbit, step=1, cap=None):
     """Smallest multiple e of step with letters(sigma^e(b)) ==
     letters(sigma^2e(b)) for every b, i.e. sigma^e has stable image letter
-    sets.
-
-    One always exists at or below step * (preperiod + period + 1): a multiple
-    of the orbit period past the preperiod.  With a cap below that bound the
-    search stops at the cap and raises ResourceLimitError.
-    """
-    limit = step * (orbit.preperiod + orbit.period + 1)
-    stop = limit if cap is None else min(limit, cap)
-    for e in range(step, stop + 1, step):
-        if satisfies_p2_at(orbit, e):
-            return e
-    if cap is not None and cap < limit:
+    sets.  S_e == S_2e says the orbit repeats from e on with period e: e is
+    past the preperiod and a multiple of the period.  With a cap below e it
+    raises ResourceLimitError."""
+    unit = lcm(step, orbit.period)
+    e = unit * max(1, -(-orbit.preperiod // unit))
+    if cap is not None and e > cap:
         raise ResourceLimitError(
             f"stabilized power: no stable exponent up to {cap}")
-    raise InternalCheckError("no stabilizing exponent within the orbit bound")
+    if not satisfies_p2_at(orbit, e):
+        raise InternalCheckError(f"letter sets not stable at power {e}")
+    return e
 
 
 class MorphismFacts:
@@ -296,7 +339,7 @@ class MorphismFacts:
 
     def stable_exponent(self, cap=None):
         """Smallest multiple of the component power with stable letter sets."""
-        return stabilizing_exponent(self.orbit, self.decomposition.p, cap)
+        return stabilizing_exponent(self.orbit, self.orbit.period, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -317,33 +360,29 @@ def classify_letters(sigma, phi=None):
     when None) from the component decomposition, with no simulation.
 
     A letter is mortal when phi erases every letter of sigma^n(a) for all
-    large n, read off the cycle of the letter-set orbit.  Block rules,
-    resolved against dependency order (a block's images use only letters of
-    the same or later blocks):
+    large n: when no letter reachable from a cyclic component it reaches
+    has a non-empty phi-image (module docstring).  Block rules, resolved
+    against dependency order (a block's images use only letters of the
+    same or later blocks):
       primitive block: every letter that is not mortal grows;
       unit block {b} (sigma^p(b) = x b y): b bounded iff x y is all mortal;
       null block {b}: b bounded iff every letter of sigma^p(b) is bounded.
     """
     dec, orbit = sigma.facts.decomposition, sigma.facts.orbit
-    cycle = orbit.states[orbit.preperiod:]
-    mortal = frozenset(
-        a for i, a in enumerate(orbit.letters)
-        if not any(phi is None or phi.image(c)
-                   for state in cycle for c in state[i]))
-    growing = set()
-    bounded = set()
+    letters, index = orbit.letters, orbit.index
+    live = -1 if phi is None else sum(
+        1 << i for i, a in enumerate(letters) if phi.image(a))
+    dead = sum(1 << i for i, reach in enumerate(orbit.cyclic_reach)
+               if not reach & live)
+    image, grow = orbit.masks_at(dec.p), 0
     for blk in reversed(dec.blocks):
+        i = index[blk.letters[0]]
         if blk.kind == PRIMITIVE:
-            for a in blk.letters:
-                (bounded if a in mortal else growing).add(a)
-            continue
-        b = blk.letters[0]
-        image_letters = orbit.letters_of(dec.p, b)
-        if blk.kind == UNIT:
-            flank = image_letters - {b}
-            (bounded if flank <= mortal else growing).add(b)
-        else:
-            (growing if image_letters & growing else bounded).add(b)
-    if mortal - bounded:
+            grow |= sum(1 << index[a] for a in blk.letters) & ~dead
+        elif image[i] & (~(1 << i) & ~dead if blk.kind == UNIT else grow):
+            grow |= 1 << i
+    if dead & grow:
         raise InternalCheckError("mortal letter classified as growing")
-    return LetterClasses(frozenset(growing), frozenset(bounded), mortal)
+    growing = orbit.letters_in(grow)
+    return LetterClasses(growing, frozenset(letters) - growing,
+                         orbit.letters_in(dead))

@@ -117,8 +117,7 @@ def recurrent_letter_set(sigma, a):
         raise PreconditionError("recurrent_letter_set: sigma(a) must start with a")
     if not sigma.facts.p2:
         raise PreconditionError("recurrent_letter_set: letter sets not stable")
-    orbit = sigma.facts.orbit
-    return frozenset().union(*(orbit.letters_of(1, b) for b in set(img[1:])))
+    return frozenset(chain.from_iterable(map(sigma.image, set(img[1:]))))
 
 
 def image_is_infinite(sigma, phi, a):

@@ -11,6 +11,7 @@ from hd0l.factors import (
     _block_substitution,
     _recurrent_interned,
 )
+from hd0l.matrices import NULL, PRIMITIVE, UNIT
 from hd0l.periodicity import Case3Witness
 from hd0l.words import Morphism, as_word
 
@@ -49,6 +50,115 @@ def morphism_from_rows(rows):
     letters = [chr(ord("a") + i) for i in range(len(rows))]
     return Morphism({b: tuple(a for i, a in enumerate(letters) if rows[i][j])
                      for j, b in enumerate(letters)})
+
+
+def state_at(orbit, k):
+    """letters(sigma^k(b)) for every letter b of a LetterSetOrbit, decoded
+    from its masks and aligned with its letters."""
+    return tuple(map(orbit.letters_in, orbit.masks_at(k)))
+
+
+def letters_of(orbit, k, a):
+    """letters(sigma^k(a)) from a LetterSetOrbit."""
+    return state_at(orbit, k)[orbit.letters.index(a)]
+
+
+@dataclass(frozen=True)
+class WalkedOrbit:
+    """The letter-set orbit listed state by state: states[k][i] is
+    letters(sigma^k(letters[i])), up to the first repeated state.  The
+    step-by-step reference the letter-graph masks are checked against."""
+
+    letters: tuple
+    states: tuple
+    preperiod: int
+    period: int
+
+    def state_at(self, k):
+        if k < len(self.states):
+            return self.states[k]
+        s, t = self.preperiod, self.period
+        return self.states[s + (k - s) % t]
+
+
+def walked_orbit(sigma):
+    """letters(sigma^(k+1)(b)) is the union of letters(sigma^k(c)) over the
+    letters c of sigma(b); walk k = 0, 1, ... until a state repeats."""
+    letters = sigma.letters
+    image_letters = [set(sigma.image(a)) for a in letters]
+    state = tuple(frozenset((a,)) for a in letters)
+    states, seen = [state], {state: 0}
+    while True:
+        prev = dict(zip(letters, state)).__getitem__
+        state = tuple(frozenset().union(*map(prev, img))
+                      for img in image_letters)
+        if state in seen:
+            s = seen[state]
+            return WalkedOrbit(letters, tuple(states), s, len(states) - s)
+        seen[state] = len(states)
+        states.append(state)
+
+
+def walked_stable_exponent(orbit, step=1, cap=None):
+    """The least multiple e of step with state_at(e) == state_at(2e),
+    searched one multiple at a time; None when it passes cap."""
+    e = step
+    while orbit.state_at(e) != orbit.state_at(2 * e):
+        e += step
+    return None if cap is not None and e > cap else e
+
+
+def walked_blocks(sigma, orbit):
+    """(p, blocks) from the walk: p is the orbit period and the blocks are
+    the sets of mutually reachable letters in the graph of sigma^p, as
+    (letters, kind, principal).  A block {b} is null when b is not in
+    letters(sigma^p(b)), unit when sigma^p(b) holds b exactly once (by
+    occurrence counts capped at 2), and primitive otherwise."""
+    p, letters = orbit.period, orbit.letters
+    step = dict(zip(letters, orbit.state_at(p)))
+    reach = {}
+    for b in letters:
+        seen, todo = {b}, [b]
+        while todo:
+            for c in step[todo.pop()] - seen:
+                seen.add(c)
+                todo.append(c)
+        reach[b] = seen
+    counts = {b: {b: 1} for b in letters}
+    for _ in range(p):
+        counts = {b: {c: min(2, sum(counts[d].get(c, 0)
+                                    for d in sigma.image(b)))
+                      for c in letters} for b in letters}
+    blocks = set()
+    for b in letters:
+        block = frozenset(c for c in reach[b] if b in reach[c])
+        if len(block) > 1 or counts[b][b] == 2:
+            kind = PRIMITIVE
+        else:
+            kind = UNIT if counts[b][b] else NULL
+        blocks.add((block, kind, all(step[c] <= block for c in block)))
+    return p, blocks
+
+
+def walked_classes(sigma, phi, orbit, dec):
+    """(growing, bounded, mortal) by the block rules of classify_letters,
+    with mortal letters read off the walk's cycle states."""
+    cycle = orbit.states[orbit.preperiod:]
+    mortal = frozenset(
+        a for i, a in enumerate(orbit.letters)
+        if not any(phi is None or phi.image(c)
+                   for state in cycle for c in state[i]))
+    growing = set()
+    for blk in reversed(dec.blocks):
+        if blk.kind == PRIMITIVE:
+            growing.update(set(blk.letters) - mortal)
+            continue
+        b = blk.letters[0]
+        image = orbit.state_at(dec.p)[orbit.letters.index(b)]
+        if (not image - {b} <= mortal if blk.kind == UNIT
+                else image & growing):
+            growing.add(b)
+    return growing, set(orbit.letters) - growing, mortal
 
 
 def letter_order(dec):

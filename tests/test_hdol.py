@@ -2,6 +2,7 @@
 tables, class limits, and the full periodicity verdict."""
 
 from collections import Counter
+from itertools import islice
 
 import pytest
 
@@ -521,6 +522,36 @@ def test_decide_work_does_not_grow_with_value_equal_couples(monkeypatch):
     assert seen[0] == seen[1]
     assert seen[1]["substitutive_representation"] == 1
     assert seen[1]["decide_substitutive"] == 1
+
+
+def prime_cycles(doubled=False):
+    # disjoint letter cycles of lengths 2, 3, 5, 7, 11, 13 and 17, every
+    # letter coded to 0, one seed letter per cycle: the letter-set orbit
+    # has period 510,510; doubled makes one image c17_0 c17_0
+    images, seed = {}, []
+    for n in (2, 3, 5, 7, 11, 13, 17):
+        names = [f"c{n}_{i}" for i in range(n)]
+        images.update((a, (b,)) for a, b in zip(names, names[1:] + names[:1]))
+        seed.append(names[0])
+    if doubled:
+        images["c17_16"] = ("c17_0", "c17_0")
+    return hd0l(Morphism(images), Morphism(dict.fromkeys(images, ("0",))),
+                seed)
+
+
+def test_decide_needs_no_orbit_walk_past_a_large_period():
+    system = prime_cycles()
+    assert system.sigma.facts.orbit.period == 510_510
+    out = decide_hd0l(system)
+    assert (out.periodic, out.diagnostic, out.certified) == (
+        False, BOUNDED_IMAGE, True)
+    # raw iteration: every image is one letter, so the length stays 7
+    assert {len(word) for word in islice(system.prefixes(), 600)} == {7}
+
+    # a growing letter needs the stabilized power, 510,510 here
+    with pytest.raises(ResourceLimitError,
+                       match="no stable exponent up to 256"):
+        decide_hd0l(prime_cycles(doubled=True))
 
 
 def test_couples_that_differ_on_the_anchor_letters_are_each_decided():

@@ -6,7 +6,17 @@ import weakref
 import pytest
 
 from conftest import m, random_endomorphism, seeded
-from helpers import block_index, incidence_matrix, morphism_from_rows
+from helpers import (
+    block_index,
+    incidence_matrix,
+    letters_of,
+    morphism_from_rows,
+    state_at,
+    walked_blocks,
+    walked_classes,
+    walked_orbit,
+    walked_stable_exponent,
+)
 from hd0l.errors import ResourceLimitError
 from hd0l.matrices import (
     NULL,
@@ -179,12 +189,60 @@ def test_decomposition_triangular_random():
 
 def test_letterset_orbit_basics():
     orbit = letterset_orbit(m({"a": "ab", "b": "c", "c": "b"}))
-    assert orbit.letters_of(0, "a") == {"a"}
-    assert orbit.letters_of(1, "a") == {"a", "b"}
-    assert orbit.letters_of(2, "a") == {"a", "b", "c"}
-    assert orbit.letters_of(3, "b") == {"c"}
-    assert orbit.letters_of(1002, "b") == {"b"}
-    assert orbit.letters_of(1003, "b") == {"c"}
+    assert letters_of(orbit, 0, "a") == {"a"}
+    assert letters_of(orbit, 1, "a") == {"a", "b"}
+    assert letters_of(orbit, 2, "a") == {"a", "b", "c"}
+    assert letters_of(orbit, 3, "b") == {"c"}
+    assert letters_of(orbit, 1002, "b") == {"b"}
+    assert letters_of(orbit, 1003, "b") == {"c"}
+
+
+def test_letter_graph_matches_the_walked_orbit_random():
+    # images of 0-3 letters, or a permutation with a few images erased or
+    # lengthened, so erasing letters, long letter cycles and growing
+    # letters all occur
+    rng = seeded(53)
+    for _ in range(400):
+        letters = "abcdefghi"[: rng.randint(1, 9)]
+        if rng.random() < 0.5:
+            sigma = m({a: "".join(rng.choices(letters, k=rng.choice(
+                (0, 1, 1, 1, 2, 3)))) for a in letters})
+        else:
+            sigma = m({a: b * rng.choice((0, 1, 1, 1, 1, 1, 2)) + rng.choice(
+                ("",) * 6 + tuple(letters)) for a, b in zip(
+                    letters, rng.sample(letters, len(letters)))})
+        phi = random_endomorphism(rng, letters, max_len=2)
+        ref = walked_orbit(sigma)
+        orbit = letterset_orbit(sigma)
+        assert (orbit.preperiod, orbit.period) == (
+            ref.preperiod, ref.period), sigma
+        for k in range(ref.preperiod + 2 * ref.period + 3):
+            assert state_at(orbit, k) == ref.state_at(k), (sigma, k)
+
+        dec = component_decomposition(sigma)
+        p, blocks = walked_blocks(sigma, ref)
+        assert dec.p == p, sigma
+        assert {(frozenset(b.letters), b.kind, b.principal)
+                for b in dec.blocks} == blocks, sigma
+        pos = block_index(dec)
+        assert all(pos[c] >= pos[b] for b, image in
+                   zip(letters, ref.state_at(p)) for c in image), sigma
+
+        for weights in (None, phi):
+            cls = classify_letters(sigma, weights)
+            assert (cls.growing, cls.bounded, cls.mortal) == walked_classes(
+                sigma, weights, ref, dec), (sigma, weights)
+
+        for step in (1, 2, 3):
+            assert stabilizing_exponent(orbit, step) == \
+                walked_stable_exponent(ref, step), (sigma, step)
+            cap = rng.randint(1, 12)
+            want = walked_stable_exponent(ref, step, cap)
+            if want is None:
+                with pytest.raises(ResourceLimitError, match=f"up to {cap}"):
+                    stabilizing_exponent(orbit, step, cap)
+            else:
+                assert stabilizing_exponent(orbit, step, cap) == want
 
 
 def test_satisfies_p2():
