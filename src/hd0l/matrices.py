@@ -2,14 +2,14 @@
 image lengths, letter-set orbits and letter growth classes.
 
 The graph has an edge from b to every letter of sigma(b).  It is held once
-per morphism as int bitmasks: S_k[i] is the mask of letters(sigma^k(
-letters[i])), bit j for letters[j].  S_{j+k}[b] is the OR of S_k[c] over
-the bits c of S_j[b], so any S_k takes O(log k) such compositions and the
-orbit S_0, S_1, ... is never listed.  Its period is the lcm of the
-cyclicities of the strong components (Brualdi and Ryser, Combinatorial
-Matrix Theory, 3.4), which is also the decomposition's power p; its
-preperiod, the least k with S_k == S_{k+period}, a predicate that stays
-true once true, comes from an exponential and then a binary search.
+per morphism as int bitmasks, bit j for letters[j]: S_k[b] is the mask of
+letters(sigma^k(b)).  S_{j+k}[b] is the OR of S_k[c] over the bits c of
+S_j[b], so any S_k takes O(log k) such compositions and the orbit S_0, S_1,
+... is never listed.  Its period is the lcm of the cyclicities of the
+strong components (Brualdi and Ryser, Combinatorial Matrix Theory, 3.4),
+which is also the decomposition's power p; its preperiod, the least k with
+S_k == S_{k+period}, a predicate that stays true once true, comes from an
+exponential and then a binary search.
 
 Mortal letters read reachability.  The letters in S_k[b] for infinitely
 many k (the orbit's cycle states at b) are those reachable from a cyclic
@@ -306,8 +306,8 @@ def stabilizing_exponent(orbit, step=1, cap=None):
     """Smallest multiple e of step with letters(sigma^e(b)) ==
     letters(sigma^2e(b)) for every b, i.e. sigma^e has stable image letter
     sets.  S_e == S_2e says the orbit repeats from e on with period e: e is
-    past the preperiod and a multiple of the period.  With a cap below e it
-    raises ResourceLimitError."""
+    at least the preperiod and a multiple of the period.  With a cap below e
+    it raises ResourceLimitError."""
     unit = lcm(step, orbit.period)
     e = unit * max(1, -(-orbit.preperiod // unit))
     if cap is not None and e > cap:
