@@ -25,6 +25,7 @@ from .errors import (
     SystemValidationError,
 )
 from .hdol import class_limits, decide_hd0l, phi_length_classes, stabilized_power_exponent
+from .matrices import classify_letters
 from .normalization import restrict_to_reachable, substitutive_representation
 from .periodicity import Limits
 from .words import HD0LSystem, Morphism, is_prolongable, power, word_str
@@ -184,6 +185,9 @@ def _cmd_expand(args):
     system = _load(args.file)
     seed = tuple(system.seed)
     sigma, phi, _ = restrict_to_reachable(system.sigma, system.phi, seed)
+    if classify_letters(sigma, phi).growing.isdisjoint(seed):
+        print("no infinite limit: no seed letter grows", file=sys.stderr)
+        return EXIT_NO
     sig_e = power(sigma, stabilized_power_exponent(sigma))
     couple = HD0LSystem(sig_e.letters, system.alphabet_b, sig_e, phi,
                         seed + seed)
@@ -192,7 +196,7 @@ def _cmd_expand(args):
     except PreconditionError as exc:
         print(f"no infinite limit: {exc}", file=sys.stderr)
         return EXIT_NO
-    print(word_str(cls[0].limit_prefix(args.length)))
+    print(word_str(cls[0].limit_letters(args.length)))
     return EXIT_YES
 
 

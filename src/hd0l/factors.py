@@ -20,7 +20,9 @@ path: a coding runs as a byte table lookup, and an image word is built one
 byte per letter, about twice as fast as with codes past the ASCII range.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     BoundedImageError,
@@ -33,6 +35,8 @@ from .words import Morphism, as_word, canonicalize_up, is_prolongable, primitive
 
 DEFAULT_MAX_FACTORS = 200_000
 DEFAULT_MAX_WORD = 2_000_000
+POWER_BUDGET = 1024
+POWER_THRESHOLD = 4 * POWER_BUDGET
 
 
 class FactorEngine:
@@ -70,7 +74,11 @@ class FactorEngine:
         letters of their image are all that is kept.  Unless max_word is
         None, the word held with the next image may not pass max_word,
         which is checked from the image lengths before the image is
-        built."""
+        built.  With no max_word and POWER_THRESHOLD letters to go, the
+        chunks are those of T = tau^K: s is a prefix of T(s) = s C, and the
+        fixed point s C T(C) T^2(C) ...  The last chunk is cut by bisection
+        on letter counts to its least prefix whose T-image reaches n, so the
+        word held passes n by less than one T-image."""
         s = self.encode(word)
         for _ in range(10_000):
             if len(s) >= n:
@@ -84,11 +92,40 @@ class FactorEngine:
         else:
             raise ResourceLimitError("expand_until: step cap exceeded")
         chunk, s = nxt[len(s):], nxt
+        if max_word is None and n - len(s) >= POWER_THRESHOLD:
+            def image_len(m):  # |T(chunk[:m])|
+                return sum(chunk.count(c, 0, m) * k for c, k in lengths)
+
+            table, lengths = self._power
+            chunk, s, skip = s, "", len(s)  # T(s) = s C, and skip keeps C
+            while len(s) < n:
+                need = n - len(s)
+                if image_len(len(chunk)) > need:
+                    chunk = chunk[:bisect_left(
+                        range(len(chunk)), need, key=image_len)]
+                chunk = chunk.translate(table)
+                s += chunk
+                chunk, skip = chunk[skip:], 0
+            return s[:n]
         while len(s) < n:
             need = n - len(s)
             chunk = self._apply_within(chunk[:need], len(s), max_word)
             s += chunk[:need]
         return s[:n]
+
+    @cached_property
+    def _power(self):
+        """T's translate table and (letter, |T(letter)|) pairs: tau squared
+        while the square, sized first, changes a length within POWER_BUDGET."""
+        table = self._by_ord
+        lengths = {chr(i): len(img) for i, img in table.items()}
+        while True:
+            square = {c: sum(map(lengths.__getitem__, table[ord(c)]))
+                      for c in lengths}
+            if square == lengths or max(square.values()) > POWER_BUDGET:
+                return table, tuple(lengths.items())
+            table = {i: img.translate(table) for i, img in table.items()}
+            lengths = square
 
     def _apply_within(self, s, held, max_word):
         # the image lengths are summed only when the longest one could
@@ -135,17 +172,14 @@ class FactorEngine:
         return table, {c: x for x, c in codes.items()}
 
     def coded_prefix(self, word, n, kappa):
-        """kappa of the first n letters of the fixed point at word, as a word,
-        expanded with no word cap: one expand_until, one str.translate
-        through the coding.  When every kappa-image is a one-character
-        letter, the translate writes those letters and the word is the
-        tuple of its result; otherwise one decode map turns the codes back
-        into letters."""
+        """kappa of the first n letters of the fixed point at word, expanded
+        with no word cap: one expand_until, one str.translate through the
+        coding.  That string of letters is the result when every letter is
+        one character; otherwise one decode map turns the codes to a word."""
         s = self.expand_until(word, n, max_word=None)
         table, letter_of = self.coding_table(kappa)
         if all(len(x) == 1 for x in letter_of.values()):
-            return tuple(s.translate(
-                {i: letter_of[c] for i, c in table.items()}))
+            return s.translate({i: letter_of[c] for i, c in table.items()})
         return tuple(map(letter_of.__getitem__, s.translate(table)))
 
     def coded_window_floor(self, kappa, seed_word, n, sample_len,

@@ -247,12 +247,20 @@ class ClassLimit:
     tail: object
 
     def limit_prefix(self, n):
-        """First n letters of the class limit."""
+        """First n letters of the class limit, as a word."""
+        return tuple(self.limit_letters(n))
+
+    def limit_letters(self, n):
+        """First n letters of the class limit: one string when the prefix
+        and a coded tail have one-character letters only, else a word."""
         if isinstance(self.tail, PeriodicTail):
             return UltimatelyPeriodicWord(self.prefix, self.tail.word).prefix(n)
         if isinstance(self.tail, SubstitutiveRepresentation):
-            need = max(0, n - len(self.prefix))
-            return (self.prefix + self.tail.expand_image(need))[:n]
+            tail = self.tail.expand_letters(max(0, n - len(self.prefix)))
+            head = "".join(self.prefix)
+            if isinstance(tail, str) and len(head) == len(self.prefix):
+                return (head + tail)[:n]
+            return (self.prefix + tuple(tail))[:n]
         raise PreconditionError("limit_prefix: divergent class has no limit")
 
 

@@ -261,9 +261,13 @@ class SubstitutiveRepresentation:
         by expand_image, finalcheck and the confirmation of this instance."""
         return FactorEngine(self.tau)
 
-    def expand_image(self, n):
-        """The first n letters of y, with no cap on the word expanded."""
+    def expand_letters(self, n):
+        """The first n letters of y, uncapped, from FactorEngine.coded_prefix."""
         return self.engine.coded_prefix((self.seed,), n, self.kappa)
+
+    def expand_image(self, n):
+        """The first n letters of y, as a word."""
+        return tuple(self.expand_letters(n))
 
 
 def _assert_p1_p2(sigma, where):

@@ -26,7 +26,7 @@ def word_str(w):
     """Human-readable rendering; joins single-char letters, brackets multi-char ones."""
     if not w:
         return "e"
-    s = "".join(w)
+    s = w if isinstance(w, str) else "".join(w)
     # letters are non-empty, so only one-char letters join to len(w) chars
     return s if len(s) == len(w) else ".".join(w)
 

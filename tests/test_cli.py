@@ -417,10 +417,38 @@ def test_cli_expand_aperiodic_limit(tmp_path, capsys):
 
 
 def test_cli_expand_bounded_system(tmp_path, capsys):
-    path = write_doc(tmp_path, "bounded.json",
-                     make_doc({"a": "ab", "b": "b"}, w="b"))
-    assert run_cli(["expand", path, "--length", "10"]) == EXIT_NO
-    assert "no infinite limit" in capsys.readouterr().err
+    # no seed letter grows, which settles the answer before any stabilized
+    # power: the 300-cycle rotation's lies past the default cap
+    for text in (make_doc({"a": "ab", "b": "b"}, w="b"),
+                 rotation_doc(300, growing=False)):
+        path = write_doc(tmp_path, "bounded.json", text)
+        assert run_cli(["expand", path, "--length", "10"]) == EXIT_NO
+        assert "no infinite limit" in capsys.readouterr().err
+
+
+def test_cli_expand_prints_the_limit_word_past_the_power_threshold(
+        tmp_path, capsys):
+    # expand writes the coded string of one expansion; its output is the
+    # word_str of the class limit's prefix word, for a bounded prefix zq
+    # before the coded tail, and '.'-joined for a two-character letter
+    from hd0l.factors import POWER_THRESHOLD
+    from hd0l.words import word_str
+    from test_acceptance import couple0_class0_prefix
+    length = 3 * POWER_THRESHOLD + 1
+    docs = [
+        make_doc({"a": "ab", "b": "a", "c": "cd", "d": "e", "e": ""},
+                 {"a": "x", "b": "y", "c": "z", "d": "q", "e": ""}, w="ca"),
+        json.dumps({"A": ["a", "b"], "B": ["x1", "y"],
+                    "sigma": {"a": ["a", "b"], "b": ["a"]},
+                    "phi": {"a": ["x1", "y"], "b": ["y"]}, "w": ["a"]}),
+    ]
+    for text, head in zip(docs, ("zqxyx", "x1.y.y.x1.y")):
+        path = write_doc(tmp_path, "sys.json", text)
+        assert run_cli(["expand", path, "--length", str(length)]) == EXIT_YES
+        out = capsys.readouterr().out
+        want = word_str(couple0_class0_prefix(parse_system(text), length))
+        assert out == want + "\n"
+        assert out.startswith(head)
 
 
 def test_cli_analyze(tmp_path, capsys):

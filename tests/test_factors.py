@@ -4,7 +4,12 @@ import pytest
 
 from conftest import m, random_endomorphism, seeded
 from hd0l.errors import BoundedImageError, PreconditionError, ResourceLimitError
-from hd0l.factors import FactorEngine, finalcheck, lang_eq_periodic
+from hd0l.factors import (
+    POWER_THRESHOLD,
+    FactorEngine,
+    finalcheck,
+    lang_eq_periodic,
+)
 from hd0l.normalization import (
     SubstitutiveRepresentation,
     recurrent_letter_set,
@@ -67,6 +72,37 @@ def test_expand_until_matches_whole_word_iteration():
             # a finite fixed word, or a cycle that hits the step cap
             with pytest.raises((BoundedImageError, ResourceLimitError)):
                 eng.expand_until(seed, n)
+
+
+def test_uncapped_expand_until_matches_the_tuple_engine():
+    # past POWER_THRESHOLD an uncapped expansion runs on a power T of tau;
+    # words.expand_fixed_point, the tuple engine, iterates tau itself
+    systems = [(FIB, "a"), (TM, "a"), (m({"b": "bc", "c": "c"}), "b"),
+               (m({"a": "abc", "b": "bc", "c": "c"}), "a"),
+               (m({"a": "ab", "b": "bc", "c": "cd", "d": "d"}), "a"),
+               (m({"a": "aab", "b": "b"}), "a")]
+    rng = seeded(29)
+    while len(systems) < 18:
+        letters = "abcd"[: rng.randint(1, 4)]
+        sigma = random_endomorphism(rng, letters, allow_empty=False)
+        if is_prolongable(sigma, "a") and sigma.max_image_len() > 1:
+            systems.append((sigma, "a"))
+    for sigma, a in systems:
+        want = expand_fixed_point(sigma, a, 4 * POWER_THRESHOLD)
+        if len(want) < 4 * POWER_THRESHOLD:
+            continue  # a finite fixed word
+        eng = FactorEngine(sigma)
+        # every |T(x[:r])| is where one T-image of the fixed point x ends
+        t_len = dict(eng._power[1])
+        end = 0
+        for c in eng.encode(want):
+            end += t_len[c]
+            if end >= 2 * POWER_THRESHOLD:
+                break
+        for n in (POWER_THRESHOLD + 1, end, end + 1, 4 * POWER_THRESHOLD):
+            if n <= len(want):
+                assert eng.decode(eng.expand_until(
+                    (a,), n, max_word=None)) == want[:n], (sigma, n)
 
 
 def test_fibonacci_small_factor_sets():

@@ -38,6 +38,8 @@ def test_as_word_and_str():
     assert word_str(("ab", "c")) == "ab.c"
     assert word_str(("a", "bc", "d", "(e,0)")) == "a.bc.d.(e,0)"
     assert word_str(("ab",)) == "ab"
+    # a str is a word of one-character letters, returned as it is
+    assert (word_str("aab"), word_str("")) == ("aab", "e")
 
 
 def test_morphism_apply_and_properties():
