@@ -418,7 +418,7 @@ def test_cli_expand_aperiodic_limit(tmp_path, capsys):
 
 def test_cli_expand_bounded_system(tmp_path, capsys):
     # no seed letter grows, which settles the answer before any stabilized
-    # power: the 300-cycle rotation's lies past the default cap
+    # power; the bounded 300-cycle rotation's lies past the default cap
     for text in (make_doc({"a": "ab", "b": "b"}, w="b"),
                  rotation_doc(300, growing=False)):
         path = write_doc(tmp_path, "bounded.json", text)
