@@ -14,8 +14,9 @@ Certified property names:
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
+from operator import or_
 
 from .errors import (
     BoundedImageError,
@@ -190,13 +191,55 @@ def _growth_candidate(sigma, phi):
     return None
 
 
+def split_evenly(word, n):
+    """word cut into n consecutive runs whose lengths differ by at most one,
+    the longer runs first."""
+    size, rem = divmod(len(word), n)
+    cuts = [i * size + min(i, rem) for i in range(n + 1)]
+    return [tuple(word[i:j]) for i, j in zip(cuts, cuts[1:])]
+
+
+def _absorb_surplus(word, n):
+    """word cut into n runs, the first taking the surplus over n - 1 single
+    letters."""
+    head = len(word) - n + 1
+    return [tuple(word[:head])] + [(c,) for c in word[head:]]
+
+
+def _letter_sets_settled(tau):
+    """letters(tau(b)) == letters(tau^2(b)) for every b, which holds exactly
+    when tau.facts.stable_exponent() is 1; read off one bitmask per letter,
+    built when first needed, with no letter-set orbit."""
+    bit = {b: 1 << i for i, b in enumerate(tau.letters)}
+    masks = {}
+
+    def mask(b):
+        if b not in masks:
+            masks[b] = reduce(or_, map(bit.__getitem__, set(tau.image(b))))
+        return masks[b]
+    return all(mask(b) == reduce(or_, map(mask, set(tau.image(b))))
+               for b in tau.letters)
+
+
 def to_coding(sigma, phi, a):
     """Cobham slot construction: from non-erasing sigma and phi with
     |phi(sigma(b))| >= |phi(b)| >= 1, build (tau, kappa, d0) with kappa a
     coding and kappa(tau^omega(d0)) = phi(sigma^omega(a)).
 
     One slot (b, i) per position of phi(b); the slot word of sigma(b) is split
-    over the slots of b, the first slot absorbing the surplus."""
+    evenly over the slots of b (split_evenly, as in the proof of Cobham's
+    theorem).  So every slot of b takes at least two letters when
+    |phi(sigma(b))| >= 2|phi(b)|, and a growing sigma gives an all-growing
+    tau, which the decision hands straight to its primitive components.
+
+    The even split cuts sigma's images into short windows, whose letter
+    sets may settle only at a power of tau, and the stabilizing power then
+    multiplies every image's length (one couple of a three-letter system
+    gives 128 slots with images of up to 199 letters that settle only at
+    power 2, past the compose cap).  So when the even tau's letter sets are
+    not settled at the first power, the first slot of each b takes the
+    surplus and every other slot one letter; the bounded letters this
+    leaves go through the Pansiot dichotomy."""
     if not sigma.is_non_erasing or not phi.is_non_erasing:
         raise PreconditionError("to_coding: erasing input")
     if not is_prolongable(sigma, a):
@@ -210,20 +253,24 @@ def to_coding(sigma, phi, a):
     # one name per slot, shared by every image it occurs in
     slots = {b: tuple(f"({b},{i})" for i in range(width[b]))
              for b in sigma.letters}
-    tau_images = {}
+    blocks = {}
     kappa_images = {}
     for b in sigma.letters:
-        blocks = list(chain.from_iterable(map(slots.__getitem__, sigma.image(b))))
-        own = slots[b]
-        if len(blocks) < len(own):
+        blocks[b] = tuple(
+            chain.from_iterable(map(slots.__getitem__, sigma.image(b))))
+        if len(blocks[b]) < width[b]:
             raise PreconditionError(f"to_coding: image of {b!r} too short")
-        head = len(blocks) - len(own) + 1
-        tau_images[own[0]] = tuple(blocks[:head])
-        for i in range(1, len(own)):
-            tau_images[own[i]] = (blocks[head + i - 1],)
-        for name, x in zip(own, phi.image(b)):
+        for name, x in zip(slots[b], phi.image(b)):
             kappa_images[name] = (x,)
-    tau = Morphism(tau_images)
+
+    def slot_coding(split):
+        return Morphism({
+            name: run for b in sigma.letters
+            for name, run in zip(slots[b], split(blocks[b], width[b]))})
+
+    tau = slot_coding(split_evenly)
+    if not _letter_sets_settled(tau):
+        tau = slot_coding(_absorb_surplus)
     kappa = Morphism(kappa_images, codomain=phi.codomain)
     d0 = slots[a][0]
     if not is_prolongable(tau, d0):

@@ -24,6 +24,7 @@ from .normalization import (
     P4,
     SubstitutiveRepresentation,
     reachable_letters,
+    split_evenly,
     substitutive_representation,
 )
 from .words import (
@@ -454,17 +455,12 @@ def convert_case2_to_growing(sigma, a, limits=None):
     for t in images:
         spelled = _spell(t)
         refined_run = [s for u in rho[t] for s in slots(u)]
-        n = len(spelled)
-        total = len(refined_run)
-        if total < 2 * n:
+        if len(refined_run) < 2 * len(spelled):
             raise InternalCheckError("convert: doubling check failed to hold")
-        size, rem = divmod(total, n)
-        idx = 0
-        for i, (nm, letter) in enumerate(zip(slots(t), spelled)):
-            take = size + (1 if i < rem else 0)
-            tau_images[nm] = tuple(refined_run[idx:idx + take])
+        runs = split_evenly(refined_run, len(spelled))
+        for nm, letter, run in zip(slots(t), spelled, runs):
+            tau_images[nm] = run
             gamma_images[nm] = (letter,)
-            idx += take
 
     tau_out = Morphism(tau_images)
     gamma_out = Morphism(gamma_images, codomain=sigma.domain)

@@ -1,13 +1,14 @@
 """Top-level decision procedure: length trichotomy, first letters, bounded
 tables, class limits, and the full periodicity verdict."""
 
+import time
 from collections import Counter
 from itertools import islice
 
 import pytest
 
 from conftest import m, random_endomorphism, seeded
-from hd0l import hdol, matrices
+from hd0l import hdol, matrices, periodicity
 from hd0l.errors import PreconditionError, ResourceLimitError
 from hd0l.hdol import (
     BOUNDED,
@@ -579,6 +580,60 @@ def test_couples_that_differ_on_the_anchor_letters_are_each_decided():
         "class limits differ: couple 0 class 0 gives e(10)^w, couple 1 "
         "class 0 gives e(01)^w",
     ]
+
+
+def parity_split(k, matching):
+    # x_i -> x_(i+1) x_(i+1) (indices mod k), every letter coded to 01, or
+    # x0 to 10 when not matching: sigma^n(x0) = x_(n mod k)^(2^n), so the
+    # split modulo k gives couples x_i -> x_i^(2^k) coded to words of
+    # 2^(i+1) letters
+    letters = [f"x{i}" for i in range(k)]
+    sigma = Morphism({x: (letters[(i + 1) % k],) * 2
+                      for i, x in enumerate(letters)})
+    phi = Morphism({x: ("1", "0") if x == "x0" and not matching
+                    else ("0", "1") for x in letters})
+    return hd0l(sigma, phi, ["x0"])
+
+
+def test_parity_split_7_and_8_decide_with_both_codings():
+    start = time.perf_counter()
+    for k in (7, 8):
+        for matching in (True, False):
+            system = parity_split(k, matching)
+            out = decide_hd0l(system)
+            # raw iteration: phi(sigma^n(x0)) is phi(x_(n mod k))^(2^n)
+            firsts = {n % k: word for n, word in
+                      islice(enumerate(system.prefixes(64)), 6, 6 + 2 * k)}
+            assert all(len(word) == 64 for word in firsts.values())
+            if matching:
+                assert set(firsts.values()) == {("0", "1") * 32}
+                assert out.periodic and out.certified
+                assert out.up == UltimatelyPeriodicWord((), ("0", "1"))
+            else:
+                assert firsts[0] == ("1", "0") * 32
+                assert {firsts[i] for i in range(1, k)} == {("0", "1") * 32}
+                assert (out.periodic, out.diagnostic, out.certified) == (
+                    False, CLASS_LIMITS_DIFFER, True)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 6.0, f"parity split k = 7, 8 took {elapsed:.2f}s"
+
+
+def test_growing_couples_skip_the_pansiot_dichotomy(monkeypatch):
+    # every couple of parity-split-6 is x_i -> x_i^64 coded to 2^(i+1)
+    # letters, so its slot images at least double and the slot coding grows
+    counts = Counter()
+    for name in ("pansiot_classify", "convert_case2_to_growing",
+                 "decide_growing"):
+        fn = getattr(periodicity, name)
+
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(periodicity, name, counted)
+    out = decide_hd0l(parity_split(6, True))
+    assert out.periodic and out.up == UltimatelyPeriodicWord((), ("0", "1"))
+    assert counts["decide_growing"] > 0
+    assert counts["pansiot_classify"] == counts["convert_case2_to_growing"] == 0
 
 
 def test_nothing_carries_over_between_decides():

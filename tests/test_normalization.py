@@ -1,10 +1,13 @@
 """Normalization pipeline: exponents, eliminations, growth, coding construction."""
 
+from itertools import chain
+
 import pytest
 
 from conftest import m, random_endomorphism, seeded
 from hd0l.errors import BoundedImageError, PreconditionError, ResourceLimitError
 from hd0l.matrices import (
+    classify_letters,
     component_decomposition,
     image_lengths,
     letterset_orbit,
@@ -22,10 +25,11 @@ from hd0l.normalization import (
     SubstitutiveRepresentation,
     reachable_letters,
     recurrent_letter_set,
+    split_evenly,
     substitutive_representation,
     to_coding,
 )
-from hd0l.words import Morphism, expand_fixed_point, power
+from hd0l.words import Morphism, expand_fixed_point, is_prolongable, power
 
 
 def coding(table):
@@ -158,6 +162,55 @@ def test_to_coding_slots():
     assert tau.image("(a,0)") == ("(a,0)", "(a,1)")
     assert tau.image("(a,1)") == ("(b,0)",)
     assert kappa(expand_fixed_point(tau, d0, 12)) == tuple("011111111111")
+
+
+def test_to_coding_random():
+    # the even split is kept exactly when its letter sets are stable at the
+    # first power; it then makes every slot grow once slot images double
+    rng = seeded(0x5107)
+    kept = grown = absorbed = 0
+    for _ in range(400):
+        letters = "abcd"[: rng.randint(1, 4)]
+        sigma = random_endomorphism(rng, letters, allow_empty=False)
+        sigma = Morphism({**sigma.images, "a": ("a",) + sigma.image("a")})
+        phi = Morphism({b: "".join(rng.choice("01")
+                                   for _ in range(rng.randint(1, 3)))
+                        for b in letters})
+        ratio = {b: len(phi(sigma.image(b))) / len(phi.image(b))
+                 for b in letters}
+        if min(ratio.values()) < 1:
+            continue
+        tau, kappa, d0 = to_coding(sigma, phi, "a")
+        slots = {b: tuple(f"({b},{i})" for i in range(len(phi.image(b))))
+                 for b in letters}
+        for b in letters:
+            assert kappa(tau(slots[b])) == phi(sigma.image(b)), (sigma, phi)
+        assert kappa.is_coding and d0 == "(a,0)" and is_prolongable(tau, d0)
+
+        blocks = {b: tuple(chain.from_iterable(map(slots.__getitem__,
+                                                   sigma.image(b))))
+                  for b in letters}
+        even = Morphism({
+            name: run for b in letters
+            for name, run in zip(slots[b], split_evenly(blocks[b],
+                                                        len(slots[b])))})
+        if even.facts.stable_exponent() == 1:
+            assert tau == even, (sigma, phi)
+            kept += 1
+            if min(ratio.values()) >= 2:
+                assert not classify_letters(tau).bounded, (sigma, phi)
+                grown += 1
+        else:
+            # the first slot takes the surplus, every other slot one letter
+            first = {b: len(blocks[b]) - len(slots[b]) + 1 for b in letters}
+            assert tau == Morphism({
+                name: run for b in letters
+                for name, run in zip(slots[b], [
+                    blocks[b][:first[b]],
+                    *((c,) for c in blocks[b][first[b]:])])}), (sigma, phi)
+            absorbed += 1
+    assert kept >= 50 and grown >= 20 and absorbed >= 20, (kept, grown,
+                                                           absorbed)
 
 
 def test_to_coding_rejects_bad_input():
