@@ -192,18 +192,18 @@ def _growth_candidate(sigma, phi):
 
 
 def split_evenly(word, n):
-    """word cut into n consecutive runs whose lengths differ by at most one,
-    the longer runs first."""
+    """The tuple word cut into n consecutive runs whose lengths differ by at
+    most one, the longer runs first."""
     size, rem = divmod(len(word), n)
     cuts = [i * size + min(i, rem) for i in range(n + 1)]
-    return [tuple(word[i:j]) for i, j in zip(cuts, cuts[1:])]
+    return [word[i:j] for i, j in zip(cuts, cuts[1:])]
 
 
 def _absorb_surplus(word, n):
-    """word cut into n runs, the first taking the surplus over n - 1 single
-    letters."""
+    """The tuple word cut into n runs, the first taking the surplus over
+    n - 1 single letters."""
     head = len(word) - n + 1
-    return [tuple(word[:head])] + [(c,) for c in word[head:]]
+    return [word[:head]] + [(c,) for c in word[head:]]
 
 
 def _letter_sets_settled(tau):
@@ -226,20 +226,16 @@ def to_coding(sigma, phi, a):
     |phi(sigma(b))| >= |phi(b)| >= 1, build (tau, kappa, d0) with kappa a
     coding and kappa(tau^omega(d0)) = phi(sigma^omega(a)).
 
-    One slot (b, i) per position of phi(b); the slot word of sigma(b) is split
-    evenly over the slots of b (split_evenly, as in the proof of Cobham's
-    theorem).  So every slot of b takes at least two letters when
-    |phi(sigma(b))| >= 2|phi(b)|, and a growing sigma gives an all-growing
-    tau, which the decision hands straight to its primitive components.
+    One slot (b, i) per position of phi(b).  The slot word of sigma(b) is
+    split evenly over the slots of b (split_evenly, as in the proof of
+    Cobham's theorem), so when |phi(sigma(b))| >= 2|phi(b)| for every b,
+    every slot grows and the decision skips the Pansiot dichotomy.
 
-    The even split cuts sigma's images into short windows, whose letter
-    sets may settle only at a power of tau, and the stabilizing power then
-    multiplies every image's length (one couple of a three-letter system
-    gives 128 slots with images of up to 199 letters that settle only at
-    power 2, past the compose cap).  So when the even tau's letter sets are
-    not settled at the first power, the first slot of each b takes the
-    surplus and every other slot one letter; the bounded letters this
-    leaves go through the Pansiot dichotomy."""
+    Short even runs may need a power of tau for their letter sets to
+    settle, and that power multiplies every image (a 128-slot couple with
+    images of up to 199 letters passes the compose cap at power 2).  So
+    when the even tau is not settled at the first power, the first slot of
+    b takes the surplus and every other slot one letter."""
     if not sigma.is_non_erasing or not phi.is_non_erasing:
         raise PreconditionError("to_coding: erasing input")
     if not is_prolongable(sigma, a):
@@ -269,7 +265,9 @@ def to_coding(sigma, phi, a):
             for name, run in zip(slots[b], split(blocks[b], width[b]))})
 
     tau = slot_coding(split_evenly)
-    if not _letter_sets_settled(tau):
+    # the two splits differ only where b has two slots and two surplus letters
+    if any(1 < width[b] < len(blocks[b]) - 1 for b in sigma.letters) \
+            and not _letter_sets_settled(tau):
         tau = slot_coding(_absorb_surplus)
     kappa = Morphism(kappa_images, codomain=phi.codomain)
     d0 = slots[a][0]

@@ -454,7 +454,7 @@ def convert_case2_to_growing(sigma, a, limits=None):
     gamma_images = {}
     for t in images:
         spelled = _spell(t)
-        refined_run = [s for u in rho[t] for s in slots(u)]
+        refined_run = tuple(s for u in rho[t] for s in slots(u))
         if len(refined_run) < 2 * len(spelled):
             raise InternalCheckError("convert: doubling check failed to hold")
         runs = split_evenly(refined_run, len(spelled))
