@@ -20,9 +20,9 @@ path: a coding runs as a byte table lookup, and an image word is built one
 byte per letter, about twice as fast as with codes past the ASCII range.
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, compress, count
 
 from .errors import (
     BoundedImageError,
@@ -31,7 +31,14 @@ from .errors import (
     ResourceLimitError,
 )
 from .matrices import stabilizing_exponent
-from .words import Morphism, as_word, canonicalize_up, is_prolongable, primitive_root
+from .words import (
+    DEFAULT_COMPOSE_CAP,
+    Morphism,
+    as_word,
+    canonicalize_up,
+    is_prolongable,
+    primitive_root,
+)
 
 DEFAULT_MAX_FACTORS = 200_000
 DEFAULT_MAX_WORD = 2_000_000
@@ -53,7 +60,11 @@ class FactorEngine:
         self.table = {self._enc[a]: self.encode(tau.image(a))
                       for a in tau.letters}
         self._by_ord = {ord(c): img for c, img in self.table.items()}
-        self._longest = tau.max_image_len()
+        # tau in the form _image_reaching takes: translate table, image
+        # length of each letter, longest image length
+        self._tau = (self._by_ord,
+                     {c: len(img) for c, img in self.table.items()},
+                     tau.max_image_len())
 
     def encode(self, word):
         return "".join(map(self._enc.__getitem__, word))
@@ -66,24 +77,24 @@ class FactorEngine:
 
     def expand_until(self, word, n, max_word=DEFAULT_MAX_WORD):
         """The first n letters of the first iterate tau^k(word) with at least
-        n letters.  Whole iterates are mapped, under a step cap as a bounded
-        word can cycle, until one, s, is a prefix of its image s + c; from
-        then on the iterates grow by the chunks c, tau(c), tau^2(c), ..., as
-        in words.fixed_point_chunks, and as tau does not erase, the first
-        n - len(s) letters of a chunk are enough, and the first n - len(s)
-        letters of their image are all that is kept.  Unless max_word is
-        None, the word held with the next image may not pass max_word,
-        which is checked from the image lengths before the image is
-        built.  With no max_word and POWER_THRESHOLD letters to go, the
-        chunks are those of T = tau^K: s is a prefix of T(s) = s C, and the
-        fixed point s C T(C) T^2(C) ...  The last chunk is cut by bisection
-        on letter counts to its least prefix whose T-image reaches n, so the
-        word held passes n by less than one T-image."""
+        n letters.  Unless max_word is None, n may not pass it, which is
+        checked before anything is expanded.  Whole iterates are mapped,
+        under a step cap as a bounded word can cycle, until one, s, is a
+        prefix of its image s + c; from then on the iterates grow by the
+        chunks c, tau(c), tau^2(c), ..., as in words.fixed_point_chunks.
+        With no max_word and POWER_THRESHOLD letters to go, the chunks are
+        those of T = tau^K instead: s is a prefix of T(s) = s C, and the
+        fixed point is s C T(C) T^2(C) ...  Every word is mapped through
+        _image_reaching the letters still missing, so an image passes n by
+        at most 3n letters, or by one image of a letter when those are
+        longer: the words held stay within about 5n letters."""
+        if max_word is not None and n > max_word:
+            raise ResourceLimitError("expand_until: word cap exceeded")
         s = self.encode(word)
         for _ in range(10_000):
             if len(s) >= n:
                 return s[:n]
-            nxt = self._apply_within(s, 0, max_word)
+            nxt = _image_reaching(s, n, self._tau)
             if nxt == s:
                 raise BoundedImageError("expand_until: word is a finite fixed word")
             if nxt.startswith(s):
@@ -91,50 +102,28 @@ class FactorEngine:
             s = nxt
         else:
             raise ResourceLimitError("expand_until: step cap exceeded")
+        table = self._tau
+        if max_word is None and n - len(nxt) >= POWER_THRESHOLD:
+            s, table = nxt, self._power
+            nxt = _image_reaching(s, n, table)
         chunk, s = nxt[len(s):], nxt
-        if max_word is None and n - len(s) >= POWER_THRESHOLD:
-            def image_len(m):  # |T(chunk[:m])|
-                return sum(chunk.count(c, 0, m) * k for c, k in lengths)
-
-            table, lengths = self._power
-            chunk, s, skip = s, "", len(s)  # T(s) = s C, and skip keeps C
-            while len(s) < n:
-                need = n - len(s)
-                if image_len(len(chunk)) > need:
-                    chunk = chunk[:bisect_left(
-                        range(len(chunk)), need, key=image_len)]
-                chunk = chunk.translate(table)
-                s += chunk
-                chunk, skip = chunk[skip:], 0
-            return s[:n]
         while len(s) < n:
-            need = n - len(s)
-            chunk = self._apply_within(chunk[:need], len(s), max_word)
-            s += chunk[:need]
+            chunk = _image_reaching(chunk, n - len(s), table)
+            s += chunk
         return s[:n]
 
     @cached_property
     def _power(self):
-        """T's translate table and (letter, |T(letter)|) pairs: tau squared
-        while the square, sized first, changes a length within POWER_BUDGET."""
-        table = self._by_ord
-        lengths = {chr(i): len(img) for i, img in table.items()}
+        """T in the form of _tau: tau squared while the square, sized first,
+        changes a length within POWER_BUDGET."""
+        table, lengths, _ = self._tau
         while True:
             square = {c: sum(map(lengths.__getitem__, table[ord(c)]))
                       for c in lengths}
             if square == lengths or max(square.values()) > POWER_BUDGET:
-                return table, tuple(lengths.items())
+                return table, lengths, max(lengths.values())
             table = {i: img.translate(table) for i, img in table.items()}
             lengths = square
-
-    def _apply_within(self, s, held, max_word):
-        # the image lengths are summed only when the longest one could
-        # take held + |image| past max_word
-        if (max_word is not None
-                and held + self._longest * len(s) > max_word
-                and held + sum(map(len, map(self.table.__getitem__, s))) > max_word):
-            raise ResourceLimitError("expand_until: word cap exceeded")
-        return self.apply(s)
 
     def factors(self, seed_word, n, max_factors=DEFAULT_MAX_FACTORS):
         """All length-n factors of the limit language generated from seed_word:
@@ -197,6 +186,20 @@ class FactorEngine:
         return len({hash(coded[i:i + n]) for i in range(len(coded) - n + 1)})
 
 
+def _image_reaching(s, need, table):
+    """The image, under a table of the form FactorEngine._tau, of the least
+    prefix of s whose image has need letters, or of all of s.  As the
+    substitution does not erase, that prefix lies in s[:need]; its letter
+    lengths are summed only when the longest image could take the image
+    of s[:need] past 4 * need, and then only up to the prefix."""
+    translate, lengths, longest = table
+    s = s[:need]
+    if len(s) * longest > 4 * need:
+        ends = accumulate(map(lengths.__getitem__, s))
+        s = s[:next(compress(count(1), map(need.__le__, ends)), len(s))]
+    return s.translate(translate)
+
+
 def _windows(s, n):
     return {s[i:i + n] for i in range(len(s) - n + 1)}
 
@@ -216,6 +219,11 @@ class BlockSubstitution:
 def _block_substitution(engine, seed_word, n, max_factors):
     base = engine.expand_until(seed_word, n)
     facs = engine.factors(seed_word, n, max_factors)
+    # a block image has one block per letter of its first letter's image:
+    # size the table from those lengths before building it, as compose does
+    if sum(len(engine.table[w[0]]) for w in facs) > DEFAULT_COMPOSE_CAP:
+        raise ResourceLimitError(
+            f"block substitution: image table exceeds {DEFAULT_COMPOSE_CAP} letters")
     names = {w: "[" + "|".join(engine.decode(w)) + "]" for w in sorted(facs)}
     images = {}
     for w in facs:

@@ -305,8 +305,10 @@ def test_cli_decide_bounded_rotation_needs_no_stabilized_power(tmp_path, capsys)
 # 1.5 GB of address space, with the answer and diagnostic given here.
 MEMORY_CASES = {
     "last-chunk": ({"a": "b", "b": "cbc", "c": "ab"},
-                   {"a": "", "b": "", "c": "0"}, "c", "inconclusive",
-                   "expand_until: word cap exceeded"),
+                   {"a": "", "b": "", "c": "0"}, "c", "yes", None),
+    "block-table": ({"a": "cc", "b": "ca", "c": "ba"},
+                    {"a": "01", "b": "", "c": "01"}, "c", "inconclusive",
+                    "image word exceeds the scan cap"),
     "finalcheck-expansion": ({"a": "bcc", "b": "c", "c": "da", "d": "ca"},
                              {"a": "0", "b": "", "c": "", "d": ""}, "c",
                              "yes", None),
@@ -368,6 +370,15 @@ def test_cli_decide_within_memory_limit(tmp_path, case):
     if answer == "yes":
         assert proc.returncode == EXIT_YES
         assert doc["certified"] and doc["v"] == ["0"]
+        # raw iteration: the images phi(sigma^k(w)) are words over {0}
+        # whose lengths grow, so the limit is 0^omega
+        x, lengths = w, []
+        for _ in range(12):
+            x = "".join(sigma[c] for c in x)
+            image = "".join(phi[c] for c in x)
+            assert set(image) <= {"0"}
+            lengths.append(len(image))
+        assert lengths[2:] == sorted(set(lengths[2:]))
         return
     assert doc["diagnostic"] == diagnostic
     if answer == "inconclusive":

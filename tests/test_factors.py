@@ -5,6 +5,7 @@ import pytest
 from conftest import m, random_endomorphism, seeded
 from hd0l.errors import BoundedImageError, PreconditionError, ResourceLimitError
 from hd0l.factors import (
+    DEFAULT_MAX_WORD,
     POWER_THRESHOLD,
     FactorEngine,
     finalcheck,
@@ -75,8 +76,9 @@ def test_expand_until_matches_whole_word_iteration():
 
 
 def test_uncapped_expand_until_matches_the_tuple_engine():
-    # past POWER_THRESHOLD an uncapped expansion runs on a power T of tau;
-    # words.expand_fixed_point, the tuple engine, iterates tau itself
+    # past POWER_THRESHOLD an uncapped expansion runs on a power T of tau,
+    # a capped one on tau; words.expand_fixed_point, the tuple engine,
+    # iterates tau itself
     systems = [(FIB, "a"), (TM, "a"), (m({"b": "bc", "c": "c"}), "b"),
                (m({"a": "abc", "b": "bc", "c": "c"}), "a"),
                (m({"a": "ab", "b": "bc", "c": "cd", "d": "d"}), "a"),
@@ -99,8 +101,26 @@ def test_uncapped_expand_until_matches_the_tuple_engine():
             if end >= 2 * POWER_THRESHOLD:
                 break
         for n in (POWER_THRESHOLD + 1, end, end + 1, 4 * POWER_THRESHOLD):
-            assert eng.decode(eng.expand_until(
-                (a,), n, max_word=None)) == want[:n], (sigma, n)
+            for max_word in (None, DEFAULT_MAX_WORD):
+                assert eng.decode(eng.expand_until(
+                    (a,), n, max_word)) == want[:n], (sigma, n, max_word)
+
+
+def test_expand_until_cuts_long_images_at_the_letters_needed():
+    # 2,047 letters of the chunk after "a" have 4.2 million image letters,
+    # past the word cap; the first 8 already give the 17,952 needed
+    sigma = m({"a": "ab" * 1024, "b": "ba" * 1024})
+    got = FactorEngine(sigma).expand_until(("a",), 17_952)
+    assert FactorEngine(sigma).decode(got) == expand_fixed_point(
+        sigma, "a", 17_952)
+
+
+def test_expand_until_caps_n_before_expanding():
+    eng = FactorEngine(TM)
+    with pytest.raises(ResourceLimitError, match="word cap exceeded"):
+        eng.expand_until(("a",), 101, max_word=100)
+    assert eng.decode(eng.expand_until(("a",), 100, max_word=100)) == \
+        expand_fixed_point(TM, "a", 100)
 
 
 def test_fibonacci_small_factor_sets():
@@ -172,6 +192,16 @@ def test_block_substitution_recodes_fixed_point():
         eng = FactorEngine(sigma)
         for i, name in enumerate(xb):
             assert eng.decode(bs.factor_of[name]) == x[i:i + n]
+
+
+def test_block_substitution_sizes_its_table_first(monkeypatch):
+    # one block per letter of a factor's first-letter image: the six
+    # 3-factors of Thue-Morse make a table of 12 blocks
+    monkeypatch.setattr("hd0l.factors.DEFAULT_COMPOSE_CAP", 11)
+    with pytest.raises(ResourceLimitError, match="block substitution"):
+        block_substitution(TM, "a", 3)
+    monkeypatch.setattr("hd0l.factors.DEFAULT_COMPOSE_CAP", 12)
+    assert len(block_substitution(TM, "a", 3).morphism.letters) == 6
 
 
 def test_recurrent_letters():

@@ -648,6 +648,15 @@ def test_nothing_carries_over_between_decides():
     assert (first.certified, second.certified) == (False, True)
 
 
+def test_tribonacci_scans_past_the_word_cap_image():
+    # 40,000 letters of the oracle's scan: the last chunk's whole image
+    # would pass the word cap, the letters needed do not
+    system = id_system(m({"a": "ab", "b": "ac", "c": "a"}), "a")
+    out = decide_hd0l(system, Limits(primitive_bound=20000))
+    assert not out.periodic and not out.certified
+    assert out.diagnostic == APERIODIC_SUB_COMPONENT
+
+
 # ------------------------------------------------------- canonical equality
 
 
