@@ -31,14 +31,8 @@ from .errors import (
     ResourceLimitError,
 )
 from .matrices import stabilizing_exponent
-from .words import (
-    DEFAULT_COMPOSE_CAP,
-    Morphism,
-    as_word,
-    canonicalize_up,
-    is_prolongable,
-    primitive_root,
-)
+from .words import (DEFAULT_COMPOSE_CAP, Morphism, as_word, canonicalize_up,
+                    is_prolongable, primitive_root)
 
 DEFAULT_MAX_FACTORS = 200_000
 DEFAULT_MAX_WORD = 2_000_000
@@ -60,10 +54,7 @@ class FactorEngine:
         self.table = {self._enc[a]: self.encode(tau.image(a))
                       for a in tau.letters}
         self._by_ord = {ord(c): img for c, img in self.table.items()}
-        # tau in the form _image_reaching takes: translate table, image
-        # length of each letter, longest image length
-        self._tau = (self._by_ord,
-                     {c: len(img) for c, img in self.table.items()},
+        self._tau = (self._by_ord, {c: len(img) for c, img in self.table.items()},
                      tau.max_image_len())
 
     def encode(self, word):
@@ -77,17 +68,16 @@ class FactorEngine:
 
     def expand_until(self, word, n, max_word=DEFAULT_MAX_WORD):
         """The first n letters of the first iterate tau^k(word) with at least
-        n letters.  Unless max_word is None, n may not pass it, which is
-        checked before anything is expanded.  Whole iterates are mapped,
-        under a step cap as a bounded word can cycle, until one, s, is a
-        prefix of its image s + c; from then on the iterates grow by the
-        chunks c, tau(c), tau^2(c), ..., as in words.fixed_point_chunks.
-        With no max_word and POWER_THRESHOLD letters to go, the chunks are
-        those of T = tau^K instead: s is a prefix of T(s) = s C, and the
-        fixed point is s C T(C) T^2(C) ...  Every word is mapped through
-        _image_reaching the letters still missing, so an image passes n by
-        at most 3n letters, or by one image of a letter when those are
-        longer: the words held stay within about 5n letters."""
+        n letters; unless max_word is None, n may not pass it.  Whole
+        iterates are mapped, under a step cap as a bounded word can cycle,
+        until one, s, is a prefix of its image s + c; from then on the
+        iterates grow by the chunks c, tau(c), tau^2(c), ..., as in
+        words.fixed_point_chunks.  With no max_word and POWER_THRESHOLD
+        letters to go, the chunks are those of T = tau^K: s is a prefix of
+        T(s) = s C, and the fixed point is s C T(C) T^2(C) ...  Each word is
+        mapped by _image_reaching the letters still missing, so the word
+        held passes n by at most 3n letters, or by less than one image when
+        images are longer, and the words held stay within about 5n letters."""
         if max_word is not None and n > max_word:
             raise ResourceLimitError("expand_until: word cap exceeded")
         s = self.encode(word)
@@ -187,16 +177,18 @@ class FactorEngine:
 
 
 def _image_reaching(s, need, table):
-    """The image, under a table of the form FactorEngine._tau, of the least
-    prefix of s whose image has need letters, or of all of s.  As the
-    substitution does not erase, that prefix lies in s[:need]; its letter
-    lengths are summed only when the longest image could take the image
-    of s[:need] past 4 * need, and then only up to the prefix."""
+    """The image of s[:need] under table = (translate table, image length
+    of each letter, longest image length), or, when that image would pass
+    4 * need letters, of the least prefix of s whose image has need letters
+    (it lies in s[:need], as no letter is erased).  The image length is
+    counted only when the longest image could take it past 4 * need, and
+    the prefix is found by summing letter lengths up to it."""
     translate, lengths, longest = table
     s = s[:need]
-    if len(s) * longest > 4 * need:
+    if (len(s) * longest > 4 * need
+            and sum(s.count(c) * k for c, k in lengths.items()) > 4 * need):
         ends = accumulate(map(lengths.__getitem__, s))
-        s = s[:next(compress(count(1), map(need.__le__, ends)), len(s))]
+        s = s[:next(compress(count(1), map(need.__le__, ends)))]
     return s.translate(translate)
 
 
@@ -219,8 +211,7 @@ class BlockSubstitution:
 def _block_substitution(engine, seed_word, n, max_factors):
     base = engine.expand_until(seed_word, n)
     facs = engine.factors(seed_word, n, max_factors)
-    # a block image has one block per letter of its first letter's image:
-    # size the table from those lengths before building it, as compose does
+    # one block per letter of a factor's first-letter image, sized as compose does
     if sum(len(engine.table[w[0]]) for w in facs) > DEFAULT_COMPOSE_CAP:
         raise ResourceLimitError(
             f"block substitution: image table exceeds {DEFAULT_COMPOSE_CAP} letters")

@@ -301,8 +301,9 @@ def test_cli_decide_bounded_rotation_needs_no_stabilized_power(tmp_path, capsys)
 
 # Systems whose decide once built an image far longer than the letters it
 # needed (an expansion's last chunk, a whole next iterate, the slot images
-# of a normalization) and died with a MemoryError; each now ends within
-# 1.5 GB of address space, with the answer and diagnostic given here.
+# of a normalization, the block table of a recoding) and died with a
+# MemoryError; each now ends within 1.5 GB of address space, with the
+# answer and diagnostic given here.
 MEMORY_CASES = {
     "last-chunk": ({"a": "b", "b": "cbc", "c": "ab"},
                    {"a": "", "b": "", "c": "0"}, "c", "yes", None),
