@@ -649,7 +649,8 @@ def test_nothing_carries_over_between_decides():
 
 
 def test_tribonacci_scans_past_the_word_cap_image():
-    # 40,000 letters of the oracle's scan: the last chunk's whole image
+    # the oracle's 40,000 letters have least period q = 19,513, so it
+    # expands 80 q = 1,561,040 letters: the whole image of the last chunk
     # would pass the word cap, the letters needed do not
     system = id_system(m({"a": "ab", "b": "ac", "c": "a"}), "a")
     out = decide_hd0l(system, Limits(primitive_bound=20000))
