@@ -189,8 +189,7 @@ def _cmd_expand(args):
         print("no infinite limit: no seed letter grows", file=sys.stderr)
         return EXIT_NO
     sig_e = power(sigma, stabilized_power_exponent(sigma))
-    couple = HD0LSystem(sig_e.letters, system.alphabet_b, sig_e, phi,
-                        seed + seed)
+    couple = HD0LSystem(sig_e.letters, system.alphabet_b, sig_e, phi, seed)
     try:
         cls = class_limits(couple)
     except PreconditionError as exc:

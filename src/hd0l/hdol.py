@@ -6,18 +6,21 @@ the word sequence phi(sigma^n(w)) converges to u v^omega.
 
 The sequence rarely converges along all indices at once, so the indices
 are split into finitely many arithmetic classes.  First a stabilizing
-power e turns the problem into e couples (sigma^e, phi o sigma^i), each
-with stable image letter sets and a trivial component power; inside one
-couple every letter then has a sharp length trichotomy (image lengths
-vanish, stay bounded, or tend to infinity).  Vanishing letters are deleted
-after one index shift, bounded letters contribute eventually cyclic
-constant words, and the unbounded first letters drive either a literal
-periodic tail or a coded fixed point that the substitutive decision
-procedure can settle.  The final verdict compares the canonical limits of
-all classes.
+power e turns the problem into e couples (sigma^e, phi) on the seeds
+sigma^i(w), each with stable image letter sets and a trivial component
+power; every letter then has a sharp length trichotomy (image lengths
+vanish, stay bounded, or tend to infinity), one for all couples, and a
+seed is read only up to its first unbounded letter.  Vanishing letters are
+deleted after one index shift, bounded letters contribute eventually
+cyclic constant words, and the unbounded first letters drive either a
+literal periodic tail or a coded fixed point that the substitutive
+decision procedure can settle.  The final verdict compares the canonical
+limits of all classes.
 """
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import islice
 from math import lcm
 
 from .errors import (
@@ -29,7 +32,6 @@ from .errors import (
 from .matrices import classify_letters
 from .normalization import (
     SubstitutiveRepresentation,
-    reachable_letters,
     restrict_to_reachable,
     substitutive_representation,
 )
@@ -48,7 +50,6 @@ from .words import (
     Morphism,
     UltimatelyPeriodicWord,
     canonicalize_up,
-    compose,
     eventual_cycle,
     power,
     up_equal,
@@ -83,6 +84,31 @@ def _couple_classes(sigma, phi):
             for c in sigma.letters}
 
 
+def _head_tables(sigma, classes):
+    """The head tables of sigma under a length classification, for k = 0,
+    1, 2, ...: table k maps each letter c to (f, h), with h the first
+    TO_INFINITY letter of sigma^k(c), or None, and f the letters before it,
+    TO_ZERO letters left out.  Table k + 1 reads table k over the images,
+    so no iterate is spelled out and only the current table is held."""
+    table = {c: ((), c) if classes[c] == TO_INFINITY
+             else ((c,) if classes[c] == BOUNDED else (), None)
+             for c in sigma.letters}
+    while True:
+        yield table
+        table = {c: _head(table, img) for c, img in sigma.images.items()}
+
+
+def _head(table, word):
+    """(f, h) of a word, read through a head table of its letters."""
+    f = ()
+    for c in word:
+        g, h = table[c]
+        f += g
+        if h is not None:
+            return f, h
+    return f, None
+
+
 def stabilized_power_exponent(sigma, cap=None):
     """sigma.facts.stable_exponent, under the couple power cap by default."""
     cap = cap if cap is not None else DEFAULT_LIMITS.couple_power_cap
@@ -90,16 +116,14 @@ def stabilized_power_exponent(sigma, cap=None):
 
 
 def phi_length_classes(sigma, phi):
-    """The phi_length_class of every letter, as one table."""
+    """The phi_length_class of every letter, as one table; at residue i the
+    class of c is read from its head at depth i, the letters of sigma^i(c)."""
     e = stabilized_power_exponent(sigma)
-    sig_e = power(sigma, e)
-    merged = _couple_classes(sig_e, phi)
-    phi_i = phi
-    for _ in range(1, e):
-        phi_i = compose(phi_i, sigma)
-        cls = _couple_classes(sig_e, phi_i)
-        if merged != cls:
-            bad = sorted(c for c in merged if merged[c] != cls[c])
+    merged = _couple_classes(power(sigma, e), phi)
+    for table in islice(_head_tables(sigma, merged), 1, e):
+        bad = sorted(c for c, (f, h) in table.items() if merged[c] != (
+            TO_INFINITY if h else BOUNDED if f else TO_ZERO))
+        if bad:
             raise PreconditionError(
                 f"length classes: residues disagree at {bad}")
     return merged
@@ -123,17 +147,14 @@ def phi_length_class(sigma, phi, c):
 @dataclass(frozen=True)
 class FirstLetterOrbit:
     """Eventually periodic sequence of first letters of sigma^n(a): j0
-    transient steps, then the cycle letters repeat with period n0.
-    unbounded holds the cycle letters whose image lengths under a supplied
-    coding tend to infinity, None when no coding was given."""
+    transient steps, then the cycle letters repeat with period n0."""
 
     j0: int
     n0: int
     letters: tuple
-    unbounded: frozenset | None = None
 
 
-def first_letter_orbit(sigma, a, phi=None):
+def first_letter_orbit(sigma, a):
     """Track first(sigma^n(a)) until the first repeat.
 
     Needs a non-erasing sigma, so the first letter of the next iterate is a
@@ -145,12 +166,7 @@ def first_letter_orbit(sigma, a, phi=None):
     if a not in sigma.domain:
         raise PreconditionError(f"first_letter_orbit: {a!r} not in the domain")
     seq, j0 = eventual_cycle(a, lambda c: sigma.image(c)[0])
-    cycle = tuple(seq[j0:])
-    unbounded = None
-    if phi is not None:
-        classes = phi_length_classes(sigma, phi)
-        unbounded = frozenset(c for c in cycle if classes[c] == TO_INFINITY)
-    return FirstLetterOrbit(j0, len(cycle), cycle, unbounded)
+    return FirstLetterOrbit(j0, len(seq) - j0, tuple(seq[j0:]))
 
 
 @dataclass(frozen=True)
@@ -264,6 +280,20 @@ class ClassLimit:
         raise PreconditionError("limit_prefix: divergent class has no limit")
 
 
+def _renamed_key(tau, coding, a):
+    """tau and coding on the letters tau reaches from a, renamed in
+    first-visit order, and those letters in that order.  Fixed points that
+    differ only in their letter names share the key, so one normalization."""
+    seen, order = {a: 0}, [a]
+    for c in order:
+        for d in dict.fromkeys(tau.image(c)):
+            if d not in seen:
+                seen[d] = len(order)
+                order.append(d)
+    images = tuple(tuple(map(seen.__getitem__, tau.image(c))) for c in order)
+    return (images, tuple(map(coding.image, order))), order
+
+
 def class_limits(system, limits=None, trace=None, classes=None, shared=None):
     """Limits of phi(sigma^n(w)) along arithmetic classes of n, for one
     stabilized couple.
@@ -280,15 +310,22 @@ def class_limits(system, limits=None, trace=None, classes=None, shared=None):
     bounded letters left of the leading unbounded letter contribute a
     constant prefix, and the tail unrolls the chain of leading unbounded
     letters with constant bounded flanks in front: a non-empty flank cycle
-    yields a literal periodic tail, an empty one a prolongable power whose
-    coded fixed point is the limit (one subclass per interleaved index when
-    the chain cycle is longer than one).
+    yields a literal periodic tail, an empty one a prolongable power tau
+    whose coded fixed points are the limits (one subclass per interleaved
+    index when the chain cycle is longer than one).
+
+    Subclass r of class rho codes sigma_bar^k(x), for k = offset + rho and
+    x the fixed point of tau at the r-th cycle letter.  As tau commutes
+    with sigma_bar, sigma_bar^k(x) is a fixed point of tau; with f h its
+    head, tau(f) is bounded and no shorter than f, so tau(f) = f and tau
+    is prolongable at h: sigma_bar^k(x) = f tau^omega(h), a bounded word
+    that tau fixes followed by the fixed point at h, under the one coding.
 
     classes is the couple's _couple_classes table when the caller already
     has it.  shared is a dict that one decide passes to all its couples: a
-    coded fixed point is normalized once per value of (tau, the coding on
-    the letters tau reaches from the anchor, anchor), the only inputs that
-    substitutive_representation reads.
+    coded fixed point is normalized once per _renamed_key of (tau,
+    phi_bar, h), which holds all that substitutive_representation reads up
+    to the names of tau's letters.
     """
     limits = limits or DEFAULT_LIMITS
     trace = trace if trace is not None else []
@@ -319,14 +356,11 @@ def class_limits(system, limits=None, trace=None, classes=None, shared=None):
         trace.append(
             f"dropped vanishing letters {sorted(gone)} after one index shift")
     else:
-        kept = list(sigma.letters)
         sig_bar, phi_bar = sigma, phi
-    w_bar = tuple(c for c in w if c not in gone)
+    base = next(_head_tables(sig_bar, classes))
+    lead, g = _head(base, (c for c in w if c not in gone))
 
-    t = next(i for i, c in enumerate(w_bar) if classes[c] == TO_INFINITY)
-    lead, g = w_bar[:t], w_bar[t]
-
-    bounded = frozenset(c for c in kept if classes[c] == BOUNDED)
+    bounded = frozenset(c for c in sig_bar.letters if classes[c] == BOUNDED)
     bpc = bounded_prefix_cycle(sig_bar, phi_bar, bounded, limits)
     orbit = first_letter_orbit(sig_bar, g)
     modulus = lcm(orbit.n0, bpc.cycle)
@@ -341,21 +375,16 @@ def class_limits(system, limits=None, trace=None, classes=None, shared=None):
         f"{bpc.preperiod}+{bpc.cycle})")
 
     pi = power(sig_bar, modulus)
-    step = {}
 
+    @cache
     def chain_step(h):
         # leading bounded flank and first unbounded letter of pi(h); the
         # latter exists because h itself has unbounded image lengths
-        if h not in step:
-            img = pi.image(h)
-            k = next(
-                (i for i, d in enumerate(img) if classes[d] == TO_INFINITY),
-                None)
-            if k is None:
-                raise InternalCheckError(
-                    f"class_limits: no unbounded letter in the image of {h!r}")
-            step[h] = (img[:k], img[k])
-        return step[h]
+        f, d = _head(base, pi.image(h))
+        if d is None:
+            raise InternalCheckError(
+                f"class_limits: no unbounded letter in the image of {h!r}")
+        return f, d
 
     hs, start = eventual_cycle(g, lambda h: chain_step(h)[1])
     q = len(hs) - start
@@ -368,43 +397,43 @@ def class_limits(system, limits=None, trace=None, classes=None, shared=None):
             "and non-empty bounded flanks: periodic tails")
     else:
         # every flank on the cycle is empty, so sigma_bar^(modulus*q) is
-        # prolongable at the cycle letter and the limit is its coded fixed
-        # point; interleaved indices give one subclass each
-        anchor = hs[start]
+        # prolongable at the cycle letters and the limits are coded fixed
+        # points; interleaved indices give one subclass each
         tau = power(sig_bar, modulus * q) if q > 1 else pi
-        if tau.image(anchor)[0] != anchor:
+        if tau.image(hs[start])[0] != hs[start]:
             raise InternalCheckError(
                 "class_limits: empty flank cycle but no prolongation")
-        reach = reachable_letters(tau, (anchor,))
+        keys = {}
+        at_offset = islice(_head_tables(sig_bar, classes), offset, None)
         trace.append(
             f"chain of leading unbounded letters cycles with period {q} "
             "and empty bounded flanks: coded fixed point tails")
 
     out = []
-    idx = 0
     for rho in range(modulus):
         n_hat = offset + rho
         prefix = bpc.word_value(n_hat, lead + sum(betas[:start], ()))
         if not cycle_empty:
             v = bpc.word_value(n_hat, sum(betas[start:], ()))
-            out.append(ClassLimit(idx, rho, prefix, PeriodicTail(v)))
-            idx += 1
+            out.append(ClassLimit(len(out), rho, prefix, PeriodicTail(v)))
             continue
         if q > 1:
             trace.append(f"class {rho}: split into {q} interleaved subclasses")
+        table = next(at_offset)
         for r in range(q):
-            k = n_hat + r * modulus
-            coding = compose(phi_bar, power(sig_bar, k)) if k else phi_bar
-            key = (tau, coding.restrict(reach), anchor)
-            if key not in shared:
-                try:
-                    shared[key] = substitutive_representation(*key)
-                except BoundedImageError as exc:
-                    raise InternalCheckError(
-                        "class_limits: unbounded chain letter produced a "
-                        "bounded fixed point image") from exc
-            out.append(ClassLimit(idx, rho, prefix, shared[key]))
-            idx += 1
+            f, h = table[hs[start + r]]
+            if h not in keys:
+                keys[h], reach = _renamed_key(tau, phi_bar, h)
+                if keys[h] not in shared:
+                    try:
+                        shared[keys[h]] = substitutive_representation(
+                            tau.restrict(reach), phi_bar.restrict(reach), h)
+                    except BoundedImageError as exc:
+                        raise InternalCheckError(
+                            "class_limits: unbounded chain letter produced "
+                            "a bounded fixed point image") from exc
+            out.append(ClassLimit(len(out), rho, prefix + phi_bar(f),
+                                  shared[keys[h]]))
     return out
 
 
@@ -461,19 +490,22 @@ def decide_hd0l(system, limits=None):
     phi(sigma^n(w w ...)), converge to an ultimately periodic word, with
     the canonical limit as witness on Yes.
 
-    The indices split modulo the stabilizing power e into couples
-    (sigma^e, phi o sigma^i).  A couple whose seed has no letter with
-    unbounded image lengths bounds the whole subsequence, which denies any
-    infinite limit; otherwise every arithmetic class inside the couple gets
-    an exact limit, either literally periodic or as a coded fixed point
-    settled by the substitutive procedure.  The verdict is Yes exactly when
-    all class limits share one canonical form.
+    The indices split modulo the stabilizing power e into couples: couple
+    i is (sigma^e, phi) on the seed sigma^i(w), read from the head table
+    at depth i, since phi(sigma^(en+i)(w)) = phi(sigma^(en)(sigma^i(w))).
+    A couple whose seed has no letter with unbounded image lengths bounds
+    the whole subsequence, which denies any infinite limit; otherwise every
+    arithmetic class inside the couple gets an exact limit, either
+    literally periodic or as a coded fixed point settled by the
+    substitutive procedure.  The verdict is Yes exactly when all class
+    limits share one canonical form.
 
     Value-equal couples are common (every couple of a growing letter
-    rotation codes to the same fixed point), so one dict, local to this
-    call, holds each normalization by its inputs and each substitutive
-    decision by its representation: every distinct value is normalized and
-    decided once, with every check, under this call's limits.
+    rotation codes to the same fixed point up to letter names), so one
+    dict, local to this call, holds each normalization by its renamed key
+    and each substitutive decision by its representation: every distinct
+    value is normalized and decided once, with every check, under this
+    call's limits.
     """
     limits = limits or DEFAULT_LIMITS
     trace = []
@@ -484,24 +516,23 @@ def decide_hd0l(system, limits=None):
     if classify_letters(sigma, phi).growing.isdisjoint(seed):
         trace.append("every seed letter keeps bounded image lengths")
         return _no(BOUNDED_IMAGE, trace)
-    # one extra copy of the seed stands in for the infinite repetition; any
-    # letter pattern it adds is already driven by the first copy
-    w2 = seed + seed
 
     e = stabilized_power_exponent(sigma, limits.couple_power_cap)
     sig_e = power(sigma, e)
     trace.append(f"splitting indices modulo {e}")
+    classes = _couple_classes(sig_e, phi)
 
+    # the limit is read as a prefix of phi(sigma^n(w w ...)); the copies
+    # of w add nothing past the first unbounded letter, where seeds end
     entries, shared = [], {}
-    for i in range(e):
-        phi_i = compose(phi_i, sigma) if i else phi
-        classes = _couple_classes(sig_e, phi_i)
-        if not any(classes[c] == TO_INFINITY for c in w2):
+    for i, table in zip(range(e), _head_tables(sigma, classes)):
+        lead, g = _head(table, seed)
+        if g is None:
             trace.append(
                 f"couple {i}: every seed letter keeps bounded image lengths")
             return _no(BOUNDED_IMAGE, trace)
         couple = HD0LSystem(
-            sig_e.letters, system.alphabet_b, sig_e, phi_i, w2)
+            sig_e.letters, system.alphabet_b, sig_e, phi, lead + (g,))
         lines = []
         cls = class_limits(couple, limits, lines, classes, shared)
         trace.extend(f"couple {i}: {line}" for line in lines)

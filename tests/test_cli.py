@@ -303,16 +303,15 @@ def test_cli_decide_bounded_rotation_needs_no_stabilized_power(tmp_path, capsys)
 # needed (an expansion's last chunk, a whole next iterate, the slot images
 # of a normalization, the block table of a recoding) and died with a
 # MemoryError; each now ends within 1.5 GB of address space, with the
-# answer and diagnostic given here.
+# answer given here and its diagnostic, or on yes its period v.
 MEMORY_CASES = {
     "last-chunk": ({"a": "b", "b": "cbc", "c": "ab"},
-                   {"a": "", "b": "", "c": "0"}, "c", "yes", None),
+                   {"a": "", "b": "", "c": "0"}, "c", "yes", "0"),
     "block-table": ({"a": "cc", "b": "ca", "c": "ba"},
-                    {"a": "01", "b": "", "c": "01"}, "c", "inconclusive",
-                    "image word exceeds the scan cap"),
+                    {"a": "01", "b": "", "c": "01"}, "c", "yes", "01"),
     "finalcheck-expansion": ({"a": "bcc", "b": "c", "c": "da", "d": "ca"},
                              {"a": "0", "b": "", "c": "", "d": ""}, "c",
-                             "yes", None),
+                             "yes", "0"),
     "window-sample": ({"a": "c", "b": "abc", "c": "bac"},
                       {"a": "1", "b": "01", "c": "0"}, "b", "no",
                       "AperiodicSubComponent"),
@@ -325,8 +324,7 @@ MEMORY_CASES = {
                       "to_coding: slot images exceed 4000000 letters"),
     "slot-alphabet": ({"a": "bbc", "b": "dca", "c": "aad", "d": "dc"},
                       {"a": "", "b": "0", "c": "1", "d": "1"}, "a",
-                      "inconclusive",
-                      "compose: image table exceeds 4000000 letters"),
+                      "inconclusive", "image word exceeds the scan cap"),
 }
 
 
@@ -358,7 +356,7 @@ sys.exit(run_cli(["decide", "--json", sys.argv[1]]))
 
 @pytest.mark.parametrize("case", sorted(MEMORY_CASES))
 def test_cli_decide_within_memory_limit(tmp_path, case):
-    sigma, phi, w, answer, diagnostic = MEMORY_CASES[case]
+    sigma, phi, w, answer, detail = MEMORY_CASES[case]
     path = write_doc(tmp_path, "sys.json", make_doc(sigma, phi, w, b="01"))
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -370,18 +368,18 @@ def test_cli_decide_within_memory_limit(tmp_path, case):
     assert doc["answer"] == answer
     if answer == "yes":
         assert proc.returncode == EXIT_YES
-        assert doc["certified"] and doc["v"] == ["0"]
-        # raw iteration: the images phi(sigma^k(w)) are words over {0}
-        # whose lengths grow, so the limit is 0^omega
+        assert doc["certified"] and doc["u"] == [] and doc["v"] == list(detail)
+        # raw iteration: the images phi(sigma^k(w)) are powers of v whose
+        # lengths grow, so the limit is v^omega
         x, lengths = w, []
         for _ in range(12):
             x = "".join(sigma[c] for c in x)
             image = "".join(phi[c] for c in x)
-            assert set(image) <= {"0"}
+            assert image == detail * (len(image) // len(detail))
             lengths.append(len(image))
         assert lengths[2:] == sorted(set(lengths[2:]))
         return
-    assert doc["diagnostic"] == diagnostic
+    assert doc["diagnostic"] == detail
     if answer == "inconclusive":
         assert proc.returncode == EXIT_INCONCLUSIVE
         return
@@ -461,6 +459,28 @@ def test_cli_expand_prints_the_limit_word_past_the_power_threshold(
         want = word_str(couple0_class0_prefix(parse_system(text), length))
         assert out == want + "\n"
         assert out.startswith(head)
+
+
+def test_cli_expand_past_the_slot_image_cap(tmp_path, capsys):
+    # couple 0 once coded its subclasses with phi o sigma^k, whose slot
+    # images passed the to_coding cap; the shifted seeds code with phi
+    sigma = {"a": "cd", "b": "ad", "c": "b", "d": "adc"}
+    phi = {"a": "01", "b": "1", "c": "1", "d": ""}
+    path = write_doc(tmp_path, "sys.json", make_doc(sigma, phi, w="da"))
+    assert run_cli(["expand", path, "--length", "3000"]) == EXIT_YES
+    out = capsys.readouterr().out.strip()
+    # raw iteration: from n = 11 on, the first 3,000 letters of
+    # phi(sigma^n(w w)) repeat with period 3, and expand prints the limit
+    # of the class n = 2 (mod 3); sigma does not erase, so each iterate
+    # may be cut at twice the letters phi needs
+    x, images = "dada", []
+    for _ in range(24):
+        images.append("".join(phi[c] for c in x)[:3000])
+        x = "".join(sigma[c] for c in x)[:6000]
+    assert {len(image) for image in images[11:]} == {3000}
+    assert images[11:21] == images[14:24]
+    assert len(set(images[11:14])) == 3
+    assert out == images[11] and 11 % 3 == 2
 
 
 def test_cli_analyze(tmp_path, capsys):
