@@ -462,8 +462,8 @@ def test_cli_expand_prints_the_limit_word_past_the_power_threshold(
 
 
 def test_cli_expand_past_the_slot_image_cap(tmp_path, capsys):
-    # couple 0 once coded its subclasses with phi o sigma^k, whose slot
-    # images passed the to_coding cap; the shifted seeds code with phi
+    # a coding of a subclass as phi_bar o sigma_bar^k would pass the slot
+    # image cap of to_coding; the subclasses code with phi_bar instead
     sigma = {"a": "cd", "b": "ad", "c": "b", "d": "adc"}
     phi = {"a": "01", "b": "1", "c": "1", "d": ""}
     path = write_doc(tmp_path, "sys.json", make_doc(sigma, phi, w="da"))

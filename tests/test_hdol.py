@@ -661,9 +661,11 @@ def settled_prefixes(system, length, steps=40):
     raise AssertionError("the prefixes do not settle")
 
 
-# systems that once ended inconclusive on the caps of the composed codings
-# phi o sigma^i and phi_bar o sigma_bar^k, with their period v on yes; the
-# numbered ones are the random systems of that index (generator in ROADMAP)
+# systems whose composed codings phi o sigma^i or phi_bar o sigma_bar^k
+# would pass the compose or slot-image caps, with their period v on yes.
+# random-i is draw i of random.Random(1): per system 1-4 letters, then
+# sigma-images of 0-3 letters, phi-images of 0-2 letters over 01, and a
+# seed of 1-2 letters
 SHIFTED_SEED_CASES = {
     "bbb": ({"a": "bbb", "b": "bab"}, {"a": "01", "b": ""}, "aa", "01"),
     "one-letter-output": ({"a": "cad", "b": "aa", "c": "cba", "d": "cc"},
